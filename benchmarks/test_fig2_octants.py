@@ -7,20 +7,22 @@ classifies it, and checks each lands in its octant.  See
 
 from repro.experiments import fig2
 from repro.policy import OctantAxes
+from repro.sweep.scenario import ScenarioContext
 
 
 def test_fig2_octant_cube(benchmark):
-    results = benchmark(fig2.run)
-    print("\n" + fig2.render(results))
+    result = benchmark(fig2.run_scenario, ScenarioContext())
+    print("\n" + fig2.render_scenario(result))
 
     failures = []
-    for (scattered, moving, thin), (octant, _sig) in results.items():
+    for c in result["corners"]:
         expected = OctantAxes(
-            scattered=scattered, high_dynamics=moving, comm_dominated=thin
+            scattered=c["scattered"], high_dynamics=c["moving"],
+            comm_dominated=c["thin"],
         ).octant()
-        if octant is not expected:
-            failures.append(((scattered, moving, thin), octant, expected))
+        if c["octant"] != expected.value:
+            failures.append((c, expected))
     assert not failures, f"corner misclassifications: {failures}"
-    assert {o.value for o, _ in results.values()} == {
+    assert {c["octant"] for c in result["corners"]} == {
         "I", "II", "III", "IV", "V", "VI", "VII", "VIII"
     }

@@ -5,13 +5,22 @@ shock-propagation axis and asserts the phase structure the renderings
 illustrate.  See :mod:`repro.experiments.fig3`.
 """
 
+import numpy as np
+
 from repro.experiments import fig3
+from repro.sweep.builtin import PAPER_PARAMS
+from repro.sweep.scenario import ScenarioContext
 
 
-def test_fig3_rm3d_profiles(rm3d_trace, benchmark):
-    data = benchmark.pedantic(fig3.run, args=(rm3d_trace,), rounds=1,
-                              iterations=1)
-    print("\n" + fig3.render(data))
+def test_fig3_rm3d_profiles(benchmark):
+    ctx = ScenarioContext(params=PAPER_PARAMS["fig3"])
+    result = benchmark.pedantic(fig3.run_scenario, args=(ctx,), rounds=1,
+                                iterations=1)
+    print("\n" + fig3.render_scenario(result))
+    data = {
+        d["index"]: {**d, "x_profile": np.asarray(d["x_profile"])}
+        for d in result["snapshots"]
+    }
 
     # Phase structure assertions mirroring the renderings:
     # early interface is localized around x=40 (of 128)

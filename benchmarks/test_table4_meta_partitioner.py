@@ -10,27 +10,30 @@ at ~98.6-98.9%.
 import pytest
 
 from repro.experiments import table4
+from repro.sweep.builtin import PAPER_PARAMS
+from repro.sweep.scenario import ScenarioContext
 
 
-def test_table4_partitioner_performance(rm3d_trace, benchmark):
-    report = benchmark.pedantic(table4.run, args=(rm3d_trace,), rounds=1,
+def test_table4_partitioner_performance(benchmark):
+    ctx = ScenarioContext(params=PAPER_PARAMS["table4"])
+    result = benchmark.pedantic(table4.run_scenario, args=(ctx,), rounds=1,
                                 iterations=1)
-    print("\n" + table4.render(report))
+    print("\n" + table4.render_scenario(result))
 
-    results = {"adaptive": report.adaptive, **report.static}
-    rt = {name: results[name].total_runtime for name in results}
+    results = result["partitioners"]
+    rt = {name: results[name]["runtime_s"] for name in results}
     # Who wins: the paper's full runtime ordering.
     assert rt["adaptive"] < rt["G-MISP+SP"] < rt["pBD-ISP"] < rt["SFC"]
     # By roughly what factor: ~27% over the slowest.
-    assert 15.0 < report.improvement_over_worst_pct < 40.0
+    assert 15.0 < result["improvement_over_worst_pct"] < 40.0
     # Load balance ordering of the static schemes.
-    imb = {name: results[name].mean_imbalance_pct for name in results}
+    imb = {name: results[name]["imbalance_pct"] for name in results}
     assert imb["G-MISP+SP"] < imb["SFC"] < imb["pBD-ISP"]
     assert imb["G-MISP+SP"] == pytest.approx(11.3, abs=6.0)
     assert imb["pBD-ISP"] == pytest.approx(35.0, abs=8.0)
     # AMR efficiency: all ~98.8%, within a fraction of a percent.
     for name in results:
-        assert results[name].amr_efficiency_pct == pytest.approx(98.8, abs=0.4)
+        assert results[name]["efficiency_pct"] == pytest.approx(98.8, abs=0.4)
     # The adaptive run actually switches: both families used.
-    usage = report.adaptive.partitioner_usage()
+    usage = result["adaptive_usage"]
     assert "pBD-ISP" in usage and "G-MISP+SP" in usage

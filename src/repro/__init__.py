@@ -43,7 +43,7 @@ from repro.api import (
     run_sweep,
 )
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "__version__",

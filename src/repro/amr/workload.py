@@ -13,15 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import kernels, obs
 from repro.amr.box import Box
 from repro.amr.hierarchy import GridHierarchy
-from repro.kernels.workload import composite_values_vector
 
 __all__ = ["WorkloadMap", "composite_load_map", "update_composite_load_map"]
 
-#: patch count from which the vector backend uses the batched scatter
-#: kernel; below it, contiguous slice adds are already optimal and the
+#: patch count from which :func:`composite_load_map` uses the batched
+#: scatter; below it, contiguous slice adds are already optimal and the
 #: ragged index arithmetic would only add overhead.
 VECTOR_MIN_PATCHES = 32
 
@@ -74,20 +72,15 @@ def composite_load_map(hierarchy: GridHierarchy) -> WorkloadMap:
     covered base cell in 3-D.  Partial coverage at unaligned patch edges is
     handled exactly with per-axis overlap counts.
 
-    The accumulation exists twice: the per-patch scalar loop below and
-    the patch-batched kernel in :mod:`repro.kernels.workload`, selected
-    by the kernel backend and proven bit-identical by the differential
-    suite.  The vector backend cuts over to the batched kernel only from
-    :data:`VECTOR_MIN_PATCHES` patches up — below that, slice adds over
-    a few large blocks are already optimal.
+    The patch count alone picks the accumulation: from
+    :data:`VECTOR_MIN_PATCHES` patches up, :func:`_batched_values` lands
+    every patch of a level in one scatter; below that, the per-patch
+    slice adds here are already optimal.  Both are bit-identical to the
+    frozen loop in ``tests/reference/ref_workload.py``.
     """
     domain = hierarchy.domain
-    backend = kernels.active_backend()
-    obs.counter("kernels.calls", kernel="workload", backend=backend).inc()
-    if backend == "vector" and hierarchy.num_patches >= VECTOR_MIN_PATCHES:
-        return WorkloadMap(
-            domain=domain, values=composite_values_vector(hierarchy)
-        )
+    if hierarchy.num_patches >= VECTOR_MIN_PATCHES:
+        return WorkloadMap(domain=domain, values=_batched_values(hierarchy))
     values = np.zeros(domain.shape, dtype=float)
 
     for lvl in hierarchy.levels:
@@ -144,8 +137,6 @@ def update_composite_load_map(
             f"dirty_mask shape {dirty_mask.shape} does not match "
             f"map shape {old.values.shape}"
         )
-    obs.counter("kernels.calls", kernel="workload",
-                backend="incremental").inc()
     values = old.values.copy()
     values[dirty_mask] = 0.0
 
@@ -190,3 +181,104 @@ def _axis_overlap(flo: int, fhi: int, clo: int, chi: int, ratio: int) -> np.ndar
     starts = np.maximum(idx * ratio, flo)
     ends = np.minimum((idx + 1) * ratio, fhi)
     return np.maximum(ends - starts, 0).astype(np.int64).reshape(n)
+
+
+def _ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(starts[k], starts[k] + lengths[k])``."""
+    offsets = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+    total = int(lengths.sum())
+    return (
+        np.arange(total, dtype=np.int64)
+        - np.repeat(offsets, lengths)
+        + np.repeat(starts, lengths)
+    )
+
+
+def _batched_values(hierarchy: GridHierarchy) -> np.ndarray:
+    """Patch-batched base-grid load array of :func:`composite_load_map`.
+
+    Every patch of a level is processed at once with ragged
+    (offset-indexed) arrays, and all contributions land in a single
+    ``np.bincount`` scatter, removing the per-patch dispatch overhead
+    that dominates on hierarchies with many small patches.
+
+    Bit-identity with the per-patch loop: per base cell a patch
+    contributes ``weight * float(cx * cy * cz)`` — an exact int64
+    product cast to float, then one float multiply — and ``np.bincount``
+    accumulates its weights in input order onto a zero output, so the
+    per-cell float additions happen in the loop's order (levels in
+    order, patches in level order).
+    """
+    domain = hierarchy.domain
+    _, ny, nz = domain.shape
+    dlo = np.asarray(domain.lo, dtype=np.int64)
+    dhi = np.asarray(domain.hi, dtype=np.int64)
+    values = np.zeros(domain.shape, dtype=float)
+    idx_parts: list[np.ndarray] = []
+    val_parts: list[np.ndarray] = []
+
+    for lvl in hierarchy.levels:
+        if not lvl.patches:
+            continue
+        ratio = hierarchy.cumulative_ratio(lvl.index)
+        weight = np.array(
+            [p.load_per_cell * ratio for p in lvl.patches], dtype=float
+        )
+        flo = np.array([p.box.lo for p in lvl.patches], dtype=np.int64)
+        fhi = np.array([p.box.hi for p in lvl.patches], dtype=np.int64)
+        # Coarsen to base space and clip to the domain in one step: the
+        # clipped coarse range is exactly the per-patch loop's
+        # ``coarse.intersection(domain)`` block slice.
+        clo = np.maximum(flo // ratio, dlo)
+        chi = np.minimum(-(-fhi // ratio), dhi)
+        m = np.maximum(chi - clo, 0)
+        cells = m[:, 0] * m[:, 1] * m[:, 2]
+        keep = cells > 0
+        if not keep.any():
+            continue
+        weight, flo, fhi, clo, m, cells = (
+            arr[keep] for arr in (weight, flo, fhi, clo, m, cells)
+        )
+
+        # Per-axis ragged fine-overlap counts (the _axis_overlap arrays of
+        # every patch, concatenated).
+        counts: list[np.ndarray] = []
+        offsets: list[np.ndarray] = []
+        for axis in range(3):
+            lengths = m[:, axis]
+            coarse_idx = _ragged_arange(clo[:, axis], lengths)
+            lo_rep = np.repeat(flo[:, axis], lengths)
+            hi_rep = np.repeat(fhi[:, axis], lengths)
+            starts = np.maximum(coarse_idx * ratio, lo_rep)
+            ends = np.minimum((coarse_idx + 1) * ratio, hi_rep)
+            counts.append(np.maximum(ends - starts, 0))
+            offsets.append(np.concatenate([[0], np.cumsum(lengths)[:-1]]))
+
+        # Decompose each patch-local cell number into (a, b, c) block
+        # coordinates, gather the three axis counts, and emit the
+        # contribution value plus its flat domain index.
+        local = _ragged_arange(np.zeros(cells.size, dtype=np.int64), cells)
+        my_rep = np.repeat(m[:, 1], cells)
+        mz_rep = np.repeat(m[:, 2], cells)
+        c = local % mz_rep
+        rem = local // mz_rep
+        b = rem % my_rep
+        a = rem // my_rep
+        cx = counts[0][np.repeat(offsets[0], cells) + a]
+        cy = counts[1][np.repeat(offsets[1], cells) + b]
+        cz = counts[2][np.repeat(offsets[2], cells) + c]
+        val_parts.append(
+            np.repeat(weight, cells) * (cx * cy * cz).astype(float)
+        )
+        gx = np.repeat(clo[:, 0] - dlo[0], cells) + a
+        gy = np.repeat(clo[:, 1] - dlo[1], cells) + b
+        gz = np.repeat(clo[:, 2] - dlo[2], cells) + c
+        idx_parts.append((gx * ny + gy) * nz + gz)
+
+    if idx_parts:
+        idx = np.concatenate(idx_parts)
+        vals = np.concatenate(val_parts)
+        values.reshape(-1)[:] += np.bincount(
+            idx, weights=vals, minlength=values.size
+        )
+    return values

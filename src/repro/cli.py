@@ -10,7 +10,6 @@ identically everywhere:
     python -m repro run table2          # instant
     python -m repro run table1 table3   # several at once
     python -m repro run all             # everything (several minutes)
-    python -m repro table2              # legacy spelling, same as 'run'
 
 ``sweep`` — the parallel, cache-aware scenario sweep
 (:mod:`repro.sweep`) over the registered set of experiments, ablations
@@ -68,19 +67,12 @@ regression (:mod:`repro.obs.benchdiff`)::
     python -m repro benchdiff BENCH_obs.json /tmp/BENCH_obs.json
     python -m repro benchdiff base.json cur.json --rel-tol 0.05 --json -
 
-``kernels-bench`` — deterministic op-level microbenchmarks of the
-scalar/vector kernel pairs (:mod:`repro.kernels.bench`), exiting
-non-zero when any pair's outputs disagree::
-
-    python -m repro kernels-bench
-    python -m repro kernels-bench --json BENCH_kernels.json
-
-``execsim-bench`` — the execsim comm-cost kernel pair and the regrid
-reuse cache (:mod:`repro.execsim.bench`), exiting non-zero when the
-backends disagree::
+``execsim-bench`` — the regrid reuse cache replayed against full
+rebuilds (:mod:`repro.execsim.bench`), exiting non-zero when the final
+units diverge::
 
     python -m repro execsim-bench
-    python -m repro execsim-bench --json BENCH_execsim.json
+    python -m repro execsim-bench --json reuse.json
 
 The heavyweight experiments (table3/4/5, fig3/4) consume the reference
 RM3D trace, generated once (~30 s) and cached under ``.cache/``; the
@@ -96,10 +88,9 @@ import time
 
 from repro.experiments import EXPERIMENTS
 
-#: the subcommand verbs; anything else in argv[0] is a legacy experiment
-#: spelling and is rewritten to ``run <argv...>``
+#: the subcommand verbs
 VERBS = ("run", "sweep", "report", "chaos", "trace", "serve", "top",
-         "simtest", "benchdiff", "kernels-bench", "execsim-bench")
+         "simtest", "benchdiff", "execsim-bench")
 
 
 def _emit(document, json_arg) -> None:
@@ -317,59 +308,21 @@ def benchdiff_main(args: argparse.Namespace) -> int:
     return 0 if diff.ok else 1
 
 
-def kernels_bench_main(args: argparse.Namespace) -> int:
-    """The ``kernels-bench`` verb: scalar/vector kernel microbenchmarks.
-
-    Exits non-zero when any kernel pair's outputs disagree, so the bench
-    doubles as a CI equivalence gate.
-    """
-    from repro.kernels.bench import (
-        DEFAULT_SIZES,
-        render_kernels_bench,
-        run_kernels_bench,
-    )
-
-    print("running the kernels microbenchmark ...", file=sys.stderr)
-    doc = run_kernels_bench(
-        sizes=tuple(args.sizes) if args.sizes else DEFAULT_SIZES,
-        procs=args.procs,
-        repeats=args.repeats,
-        seed=args.seed,
-    )
-    if args.json is None:
-        print(render_kernels_bench(doc))
-    else:
-        _emit(doc, args.json)
-    return 0 if doc["gate"]["all_match"] else 1
-
-
 def execsim_bench_main(args: argparse.Namespace) -> int:
-    """The ``execsim-bench`` verb: comm-cost kernels and regrid reuse.
+    """The ``execsim-bench`` verb: regrid reuse vs full rebuilds.
 
-    Exits non-zero when the kernel backends disagree or the reuse cache
-    diverges from full rebuilds, so the bench doubles as a CI
-    equivalence gate.
+    Exits non-zero when the reuse cache's final units diverge from a
+    full rebuild, so the bench doubles as a CI equivalence gate.
     """
-    from repro.execsim.bench import (
-        DEFAULT_PAIR_COUNTS,
-        render_execsim_bench,
-        run_execsim_bench,
-    )
+    from repro.execsim.bench import render_reuse_bench, run_reuse_bench
 
-    print("running the execsim benchmark ...", file=sys.stderr)
-    doc = run_execsim_bench(
-        pair_counts=(
-            tuple(args.pairs) if args.pairs else DEFAULT_PAIR_COUNTS
-        ),
-        procs=args.procs,
-        repeats=args.repeats,
-        seed=args.seed,
-    )
+    print("running the execsim reuse benchmark ...", file=sys.stderr)
+    reuse = run_reuse_bench()
     if args.json is None:
-        print(render_execsim_bench(doc))
+        print(render_reuse_bench(reuse))
     else:
-        _emit(doc, args.json)
-    return 0 if doc["gate"]["all_match"] else 1
+        _emit({"reuse": reuse}, args.json)
+    return 0 if all(r["final_units_match"] for r in reuse.values()) else 1
 
 
 def serve_main(args: argparse.Namespace) -> int:
@@ -852,68 +805,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_diff.set_defaults(func=benchdiff_main)
 
-    p_kb = sub.add_parser(
-        "kernels-bench",
-        parents=common,
-        help="microbenchmark the scalar/vector kernel pairs",
-        description="Time each partitioning kernel pair (scalar reference "
-        "vs vectorized) on seeded synthetic inputs and verify their "
-        "outputs agree; JSON output is the BENCH_kernels.json document.",
-    )
-    p_kb.add_argument(
-        "--sizes", type=int, nargs="+", default=None, metavar="N",
-        help="unit counts for the sequence kernels "
-        "(default: 1000 10000 100000)",
-    )
-    p_kb.add_argument(
-        "--procs", type=int, default=64,
-        help="processors to partition across (default 64)",
-    )
-    p_kb.add_argument(
-        "--repeats", type=int, default=3,
-        help="timing repeats per kernel, best-of (default 3)",
-    )
-    p_kb.set_defaults(func=kernels_bench_main)
-
     p_eb = sub.add_parser(
         "execsim-bench",
         parents=common,
-        help="benchmark the execsim cost kernel and regrid reuse cache",
-        description="Time the comm-cost kernel pair on synthetic "
-        "adjacency problems, replay the regrid reuse cache over the "
-        "RM3D and a localized trace, and verify every path matches the "
-        "scalar/full-recompute reference; JSON output is the "
-        "BENCH_execsim.json document.",
-    )
-    p_eb.add_argument(
-        "--pairs", type=int, nargs="+", default=None, metavar="N",
-        help="adjacency-pair counts for the cost kernel "
-        "(default: 1000 10000 100000)",
-    )
-    p_eb.add_argument(
-        "--procs", type=int, default=64,
-        help="processors the synthetic assignments scatter over "
-        "(default 64)",
-    )
-    p_eb.add_argument(
-        "--repeats", type=int, default=3,
-        help="timing repeats per case, best-of (default 3)",
+        help="benchmark the regrid reuse cache",
+        description="Replay the regrid reuse cache over the RM3D and a "
+        "localized trace and verify the final units match a full "
+        "rebuild; JSON output is the reuse section of "
+        "BENCH_execsim.json.",
     )
     p_eb.set_defaults(func=execsim_bench_main)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Entry point; returns the process exit code.
-
-    Legacy spellings without a verb (``python -m repro table2``) are
-    rewritten to the ``run`` verb.
-    """
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = list(argv)
-    if argv and argv[0] not in VERBS and not argv[0].startswith("-"):
-        argv = ["run", *argv]
+    """Entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.verb == "report":
@@ -954,13 +860,6 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(
                 f"--online-steps must be >= 0, got {args.online_steps}"
             )
-    if args.verb == "kernels-bench":
-        if args.sizes and any(n < 1 for n in args.sizes):
-            parser.error(f"--sizes must all be >= 1, got {args.sizes}")
-        if args.procs < 1:
-            parser.error(f"--procs must be >= 1, got {args.procs}")
-        if args.repeats < 1:
-            parser.error(f"--repeats must be >= 1, got {args.repeats}")
     if args.verb == "simtest":
         if args.seeds < 1:
             parser.error(f"--seeds must be >= 1, got {args.seeds}")

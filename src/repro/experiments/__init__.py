@@ -2,12 +2,15 @@
 
 Every experiment module exposes:
 
-- ``run(...)`` — execute the experiment and return structured results,
-- ``render(result)`` — format the paper-style table/figure as text,
+- ``run_scenario(ctx)`` — execute the experiment and return its JSON
+  result document (the :mod:`repro.sweep` scenario entrypoint),
+- ``render_scenario(result)`` — format the paper-style table/figure as
+  text,
 - ``PAPER`` constants with the published values for comparison.
 
 The pytest benchmarks under ``benchmarks/`` and the command line
-(``python -m repro <experiment>``) are both thin wrappers around these.
+(``python -m repro run <experiment>``) are both thin wrappers around
+these.
 """
 
 from repro.experiments import common

@@ -1,4 +1,4 @@
-"""Shared experiment infrastructure: reference traces + deprecation helper.
+"""Shared experiment infrastructure: the reference traces.
 
 Two RM3D adaptation traces are shared across experiments and scenario
 sweeps:
@@ -18,7 +18,6 @@ instead of interleaving a torn one.
 from __future__ import annotations
 
 import os
-import warnings
 from pathlib import Path
 from typing import Callable
 
@@ -31,7 +30,6 @@ __all__ = [
     "reference_policy",
     "rm3d_reference_trace",
     "rm3d_small_trace",
-    "warn_deprecated",
 ]
 
 #: the paper's run length: 800 coarse steps (+2 regrids) -> 202 snapshots
@@ -39,15 +37,6 @@ NUM_COARSE_STEPS = 808
 
 #: the reduced sweep/CI run length (-> 40 snapshots)
 SMALL_NUM_COARSE_STEPS = 160
-
-
-def warn_deprecated(old: str, new: str) -> None:
-    """Emit the standard :class:`DeprecationWarning` for a legacy shim."""
-    warnings.warn(
-        f"{old} is deprecated; use {new} (the Scenario API) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 def reference_policy() -> RegridPolicy:

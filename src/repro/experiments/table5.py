@@ -6,13 +6,12 @@ from repro.amr.trace import AdaptationTrace
 from repro.apps.loadgen import LoadPattern
 from repro.core import CapacityCalculator, CapacityWeights, SystemSensitivePipeline
 from repro.execsim import CostModel
-from repro.experiments.common import warn_deprecated
 from repro.gridsys import linux_cluster
 from repro.monitoring import ResourceMonitor
 from repro.sweep.scenario import ScenarioContext
 
-__all__ = ["PROC_COUNTS", "PAPER_32_NODE_IMPROVEMENT", "run", "render",
-           "run_scenario", "render_scenario"]
+__all__ = ["PROC_COUNTS", "PAPER_32_NODE_IMPROVEMENT", "run_scenario",
+           "render_scenario"]
 
 PROC_COUNTS = (4, 8, 16, 32)
 
@@ -72,15 +71,3 @@ def render_scenario(result: dict) -> str:
         "growing with processor count)"
     )
     return "\n".join(lines)
-
-
-def run(trace: AdaptationTrace, seed: int = 42) -> dict[int, float]:
-    """Deprecated shim — use the ``table5`` scenario (:mod:`repro.sweep`)."""
-    warn_deprecated("table5.run()", "table5.run_scenario(ctx)")
-    return _run(trace, seed)
-
-
-def render(improvements: dict[int, float]) -> str:
-    """Deprecated shim — use :func:`render_scenario` on the JSON digest."""
-    warn_deprecated("table5.render()", "table5.render_scenario(result)")
-    return render_scenario(_digest(improvements))

@@ -11,17 +11,15 @@ domain is unrefined — and is then split contiguously:
   split over the variable-grain sequence, which buys the best load balance
   of the static schemes (Table 4: 11.3 % max imbalance).
 
-The segmentation loop exists twice — the scalar recursion below and the
-worklist kernel in :mod:`repro.kernels.gmisp` — selected by the kernel
-backend and proven bit-identical by the differential suite.
+The segmentation splits a whole *generation* of blocks per round; the
+frozen block-by-block recursion in ``tests/reference/ref_gmisp.py`` pins
+its output bit-for-bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro import kernels, obs
-from repro.kernels.gmisp import variable_grain_bounds_vector
 from repro.partitioners.base import Partitioner
 from repro.partitioners.sequence import (
     greedy_sequence_partition,
@@ -32,24 +30,36 @@ from repro.partitioners.units import CompositeUnits
 __all__ = ["GMISPPartitioner", "GMISPSPPartitioner", "variable_grain_segments"]
 
 
-def _scalar_bounds(
+def _variable_grain_bounds(
     prefix: np.ndarray, n: int, coarse: int, threshold: float
 ) -> np.ndarray:
-    """Reference recursion: sorted segment start bounds (no ``n`` sentinel)."""
-    seg_bounds: list[int] = []
+    """Segment start bounds (sorted, without the trailing ``n`` sentinel).
 
-    def emit(lo: int, hi: int) -> None:
-        load = prefix[hi] - prefix[lo]
-        if load > threshold and hi - lo > 1:
-            mid = (lo + hi) // 2
-            emit(lo, mid)
-            emit(mid, hi)
-        else:
-            seg_bounds.append(lo)
-
-    for start in range(0, n, coarse):
-        emit(start, min(start + coarse, n))
-    return np.asarray(seg_bounds, dtype=int)
+    ``prefix`` is the length ``n + 1`` inclusive load prefix (leading
+    zero); blocks of ``coarse`` units split while their load
+    ``prefix[hi] - prefix[lo]`` exceeds ``threshold`` and they hold more
+    than one unit.  One boolean mask decides every split of a round, so
+    the Python-level work is ``O(log coarse)`` rounds.  The split of an
+    individual block — children cut at ``(lo + hi) // 2`` — does not
+    depend on the order blocks are visited, so the bound set equals the
+    block-by-block recursion's.
+    """
+    lo = np.arange(0, n, coarse)
+    hi = np.minimum(lo + coarse, n)
+    done_lo: list[np.ndarray] = []
+    while lo.size:
+        split = (prefix[hi] - prefix[lo] > threshold) & (hi - lo > 1)
+        if not split.any():
+            done_lo.append(lo)
+            break
+        done_lo.append(lo[~split])
+        slo, shi = lo[split], hi[split]
+        mid = (slo + shi) // 2
+        lo = np.concatenate([slo, mid])
+        hi = np.concatenate([mid, shi])
+    bounds = np.concatenate(done_lo) if done_lo else np.zeros(0, dtype=int)
+    bounds.sort()
+    return bounds
 
 
 def _force_min_segments(
@@ -61,7 +71,7 @@ def _force_min_segments(
     with fewer segments than processors, which would strand processors
     empty no matter how the segments are dealt.  Repeatedly halve the
     heaviest splittable segment (first index on ties) until every
-    processor can receive one.  Shared verbatim by both kernel backends.
+    processor can receive one.
     """
     want = min(num_procs, n)
     cuts = list(bounds) + [n]
@@ -94,12 +104,7 @@ def variable_grain_segments(
     total = loads.sum()
     threshold = split_factor * total / num_procs if total > 0 else np.inf
     prefix = np.concatenate([[0.0], np.cumsum(loads)])
-    backend = kernels.active_backend()
-    obs.counter("kernels.calls", kernel="gmisp_segments", backend=backend).inc()
-    if backend == "vector":
-        bounds = variable_grain_bounds_vector(prefix, n, coarse, threshold)
-    else:
-        bounds = _scalar_bounds(prefix, n, coarse, threshold)
+    bounds = _variable_grain_bounds(prefix, n, coarse, threshold)
     bounds = _force_min_segments(bounds, prefix, n, num_procs)
     seg_of_unit = np.zeros(n, dtype=int)
     seg_of_unit[bounds[1:]] = 1

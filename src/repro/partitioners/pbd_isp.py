@@ -8,23 +8,21 @@ the lowest communication volume and data migration of the suite — at the
 price of the worst load balance (Table 4: 35 % max imbalance), because cut
 planes are constrained to whole lattice slices.
 
-The cut decision (:func:`choose_bisection_cut`) is shared between the
-scalar recursion here and the worklist kernel in
-:mod:`repro.kernels.pbd`, so the two backends dissect identically.
+The frozen recursion in ``tests/reference/ref_pbd.py`` pins the owner
+cubes bit-for-bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro import kernels, obs
 from repro.partitioners.base import Partitioner
 from repro.partitioners.units import CompositeUnits
 
-__all__ = ["PBDISPPartitioner", "choose_bisection_cut", "pbd_partition_cube"]
+__all__ = ["PBDISPPartitioner", "pbd_partition_cube"]
 
 
-def choose_bisection_cut(
+def _choose_bisection_cut(
     cube: np.ndarray, nprocs: int
 ) -> tuple[int, int, int] | None:
     """Best axis-aligned cut for splitting ``cube`` across ``nprocs``.
@@ -86,15 +84,15 @@ def choose_bisection_cut(
     return best[1], best[2], p1
 
 
-def _bisect_scalar(
+def _bisect(
     cube: np.ndarray, owners: np.ndarray, proc_lo: int, proc_hi: int
 ) -> None:
-    """Reference recursion over subcube views."""
+    """Recursive dissection over subcube views."""
     nprocs = proc_hi - proc_lo
     if nprocs <= 1:
         owners[...] = proc_lo
         return
-    plan = choose_bisection_cut(cube, nprocs)
+    plan = _choose_bisection_cut(cube, nprocs)
     if plan is None:
         # No axis can be cut: give everything to the first subgroup.
         owners[...] = proc_lo
@@ -104,20 +102,14 @@ def _bisect_scalar(
     sl_hi = [slice(None)] * 3
     sl_lo[axis] = slice(0, cut)
     sl_hi[axis] = slice(cut, cube.shape[axis])
-    _bisect_scalar(cube[tuple(sl_lo)], owners[tuple(sl_lo)], proc_lo, proc_lo + p1)
-    _bisect_scalar(cube[tuple(sl_hi)], owners[tuple(sl_hi)], proc_lo + p1, proc_hi)
+    _bisect(cube[tuple(sl_lo)], owners[tuple(sl_lo)], proc_lo, proc_lo + p1)
+    _bisect(cube[tuple(sl_hi)], owners[tuple(sl_hi)], proc_lo + p1, proc_hi)
 
 
 def pbd_partition_cube(cube: np.ndarray, num_procs: int) -> np.ndarray:
-    """Owner cube of the p-way binary dissection (backend-dispatched)."""
-    backend = kernels.active_backend()
-    obs.counter("kernels.calls", kernel="pbd", backend=backend).inc()
-    if backend == "vector":
-        from repro.kernels.pbd import pbd_partition_cube_vector
-
-        return pbd_partition_cube_vector(cube, num_procs)
+    """Owner cube of the p-way binary dissection."""
     owners = np.zeros(cube.shape, dtype=int)
-    _bisect_scalar(cube, owners, proc_lo=0, proc_hi=num_procs)
+    _bisect(cube, owners, proc_lo=0, proc_hi=num_procs)
     return owners
 
 

@@ -12,23 +12,15 @@ the final step of every ISP-family partitioner.  Two algorithms:
 
 Both have capacity-weighted variants for heterogeneous targets.
 
-Each hot loop exists twice: the scalar reference below and a vectorized
-kernel in :mod:`repro.kernels.sequence`, selected by the process-wide
-kernel backend (``REPRO_KERNELS``).  The pair is proven bit-identical by
-the differential suite in ``tests/test_kernels.py``; keep both halves in
-lockstep when changing either.
+The greedy fill and the weighted split place boundaries with prefix
+sums and ``np.searchsorted``, so no Python loop runs per item.  The
+frozen per-item loops in ``tests/reference/ref_sequence.py`` pin their
+outputs bit-for-bit (``tests/test_kernels.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro import kernels, obs
-from repro.kernels.sequence import (
-    boundaries_to_assignment_vector,
-    greedy_owners_vector,
-    weighted_owners_vector,
-)
 
 __all__ = [
     "greedy_sequence_partition",
@@ -37,13 +29,6 @@ __all__ = [
     "segment_loads",
     "boundaries_to_assignment",
 ]
-
-
-def _tick(kernel: str) -> str:
-    """Count the dispatch under the active backend; returns the backend."""
-    backend = kernels.active_backend()
-    obs.counter("kernels.calls", kernel=kernel, backend=backend).inc()
-    return backend
 
 
 def _check_inputs(loads: np.ndarray, p: int) -> np.ndarray:
@@ -57,14 +42,9 @@ def _check_inputs(loads: np.ndarray, p: int) -> np.ndarray:
     return loads
 
 
-def boundaries_to_assignment(boundaries: np.ndarray, n: int, p: int) -> np.ndarray:
+def boundaries_to_assignment(boundaries: np.ndarray, p: int) -> np.ndarray:
     """Segment boundaries (p+1 prefix cut points) → per-item owner array."""
-    if _tick("boundaries_to_assignment") == "vector":
-        return boundaries_to_assignment_vector(boundaries, n, p)
-    owners = np.empty(n, dtype=int)
-    for k in range(p):
-        owners[boundaries[k] : boundaries[k + 1]] = k
-    return owners
+    return np.repeat(np.arange(p), np.diff(boundaries))
 
 
 def segment_loads(loads: np.ndarray, assignment: np.ndarray, p: int) -> np.ndarray:
@@ -80,24 +60,36 @@ def greedy_sequence_partition(loads: np.ndarray, p: int) -> np.ndarray:
     least ``p`` items — no processor is left empty: a segment also closes
     when the remaining items are only just enough to give every remaining
     processor one.
+
+    The sequential fill advances ``seg`` by at most one per item, whenever
+    the running load crossed the next fair-share threshold *or* the
+    remaining items are just enough to give every remaining processor
+    one.  Both triggers are "``seg`` is below a non-decreasing target
+    ``g(i)``", so the chase has the closed form::
+
+        s(i) = min(i + 1,  min_{j <= i} (g(j) + i - j))
+
+    computed with one ``np.minimum.accumulate``.  ``owners[i]`` is the
+    segment *before* item ``i`` was processed, i.e. ``s(i - 1)``.
     """
     loads = _check_inputs(loads, p)
     n = loads.size
-    if _tick("greedy") == "vector":
-        return greedy_owners_vector(loads, p)
-    total = loads.sum()
-    owners = np.empty(n, dtype=int)
-    target = total / p
-    acc = 0.0
-    seg = 0
-    for i in range(n):
-        owners[i] = seg
-        acc += loads[i]
-        # Close the segment when it reached its fair share — or when the
-        # items left are exactly enough for the processors left (the
-        # reserve clause that keeps every processor non-empty).
-        if seg < p - 1 and (acc >= target * (seg + 1) or n - 1 - i <= p - 1 - seg):
-            seg += 1
+    owners = np.zeros(n, dtype=int)
+    if p == 1 or n == 1:
+        return owners
+    target = loads.sum() / p
+    prefix = np.cumsum(loads)
+    idx = np.arange(n)
+    # Thresholds target*(seg+1), one float multiply each; crossed(i)
+    # counts how many the inclusive prefix has reached.
+    thresholds = target * np.arange(1, p)
+    crossed = np.searchsorted(thresholds, prefix, side="right")
+    # Reserve floor: after item i there are n-1-i items left; a segment
+    # force-closes whenever that is <= the processors still to fill.
+    reserve = idx + 1 + (p - n)
+    g = np.minimum(np.maximum(crossed, reserve), p - 1)
+    s = np.minimum(np.minimum.accumulate(g - idx) + idx, idx + 1)
+    owners[1:] = s[:-1]
     return owners
 
 
@@ -165,7 +157,7 @@ def optimal_sequence_partition(
         else:
             hi = mid
             best = b
-    return boundaries_to_assignment(best, n, p)
+    return boundaries_to_assignment(best, p)
 
 
 def weighted_sequence_partition(
@@ -192,19 +184,10 @@ def weighted_sequence_partition(
     if total == 0.0:
         # Degenerate: spread items evenly.
         return (np.arange(n) * p // max(n, 1)).astype(int)
-    if _tick("weighted") == "vector":
-        return weighted_owners_vector(loads, p, capacities, total)
+    # Each item goes to the count of cumulative capacity targets the
+    # *exclusive* load prefix has reached (only the first p - 1 targets
+    # are cut points).
     prefix = np.cumsum(loads)
+    before = np.concatenate([[0.0], prefix[:-1]])
     cum_target = np.cumsum(capacities) / capacities.sum() * total
-    owners = np.empty(n, dtype=int)
-    seg = 0
-    prev = 0.0
-    for i in range(n):
-        # Advance past every target the load so far has already met
-        # *before* assigning, so met (incl. zero-capacity) targets never
-        # absorb the next item.
-        while seg < p - 1 and prev >= cum_target[seg]:
-            seg += 1
-        owners[i] = seg
-        prev = prefix[i]
-    return owners
+    return np.searchsorted(cum_target[: p - 1], before, side="right")

@@ -1,13 +1,14 @@
 """Regenerate the golden partition corpus.
 
-Run from the repo root with the scalar backend (the oracle semantics):
+Run from the repo root:
 
-    REPRO_KERNELS=scalar PYTHONPATH=src python tests/golden/regen.py
+    PYTHONPATH=src python tests/golden/regen.py
 
 Each JSON file holds a serialized hierarchy plus sha256 digests of the
 composite workload map and of every registry partitioner's owner array.
 Only regenerate after an *intended* algorithm change, in the same commit
-as the matching scalar + vector + ``tests/reference`` updates.
+as the matching ``tests/reference`` update; the golden tests check both
+the in-tree kernels and the frozen oracles against the committed digests.
 """
 
 from __future__ import annotations

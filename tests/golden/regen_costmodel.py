@@ -1,15 +1,16 @@
 """Regenerate the golden comm-cost corpus (``costmodel.json``).
 
-Run from the repo root with the scalar backend (the oracle semantics):
+Run from the repo root:
 
-    REPRO_KERNELS=scalar PYTHONPATH=src python tests/golden/regen_costmodel.py
+    PYTHONPATH=src python tests/golden/regen_costmodel.py
 
 Each case reuses a hierarchy from the partition corpus (``blob.json``,
 ...), partitions it, and records sha256 digests of the per-processor
 communication bytes and neighbor counts plus the exact ghost-work
 scalar.  Only regenerate after an *intended* cost-model change, in the
-same commit as the matching scalar + vector + ``tests/reference``
-updates.
+same commit as the matching ``tests/reference`` update; the golden
+tests check both the in-tree kernels and the frozen oracles against the
+committed digests.
 """
 
 from __future__ import annotations

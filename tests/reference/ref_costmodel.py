@@ -1,7 +1,8 @@
 """Frozen scalar reference of the execsim communication-cost kernel.
 
-Verbatim copy of :func:`repro.execsim.costmodel.comm_cost_terms_scalar`
-at the moment the vectorized kernel landed.  THE FREEZE RULE applies
+Verbatim copy of the per-pair scalar loop that
+:func:`repro.execsim.costmodel.comm_cost_terms` replaced, taken at the
+moment the vectorized kernel landed.  THE FREEZE RULE applies
 (see this package's ``__init__``): never edit to make a differential
 pass.
 """

@@ -1,6 +1,6 @@
 """Differential tests for the execsim communication-cost kernel.
 
-Both backends of :func:`repro.execsim.costmodel.comm_cost_terms` must be
+:func:`repro.execsim.costmodel.comm_cost_terms` must be
 *bit-identical* to the frozen scalar oracle in
 ``tests/reference/ref_costmodel.py`` — over randomized synthetic
 adjacency problems, over real partitioned hierarchies, and over the
@@ -17,21 +17,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import kernels
 from repro.amr.box import Box
 from repro.amr.hierarchy import GridHierarchy
 from repro.amr.regrid import Regridder, RegridPolicy
 from repro.execsim.costmodel import (
     CostModel,
     comm_cost_terms,
-    comm_cost_terms_scalar,
     per_step_comm_times,
 )
-from repro.kernels.costmodel import comm_cost_terms_vector
 from repro.partitioners import PARTITIONER_REGISTRY, build_units
 
 TESTS = Path(__file__).parent
-BACKENDS = kernels.BACKENDS
 
 
 def _load_reference(name: str):
@@ -88,31 +84,16 @@ def _cases():
 
 
 class TestCostTermsDifferential:
-    def test_scalar_matches_oracle(self):
+    @pytest.mark.parametrize(
+        "widths", [(2.0, 10.0), (1.0, 4.0)], ids=["default", "narrow"]
+    )
+    def test_matches_oracle(self, widths):
         for case in _cases():
-            got = comm_cost_terms_scalar(*case, 2.0, 10.0)
-            want = ref_costmodel.comm_cost_terms(*case, 2.0, 10.0)
+            got = comm_cost_terms(*case, *widths)
+            want = ref_costmodel.comm_cost_terms(*case, *widths)
             np.testing.assert_array_equal(got[0], want[0])
             np.testing.assert_array_equal(got[1], want[1])
             assert got[2] == want[2]
-
-    def test_vector_matches_oracle(self):
-        for case in _cases():
-            got = comm_cost_terms_vector(*case, 2.0, 10.0)
-            want = ref_costmodel.comm_cost_terms(*case, 2.0, 10.0)
-            np.testing.assert_array_equal(got[0], want[0])
-            np.testing.assert_array_equal(got[1], want[1])
-            assert got[2] == want[2]
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_dispatch_matches_oracle(self, backend):
-        with kernels.use_backend(backend):
-            for case in _cases():
-                got = comm_cost_terms(*case, 1.0, 4.0)
-                want = ref_costmodel.comm_cost_terms(*case, 1.0, 4.0)
-                np.testing.assert_array_equal(got[0], want[0])
-                np.testing.assert_array_equal(got[1], want[1])
-                assert got[2] == want[2]
 
 
 # -- real partitioned hierarchies ---------------------------------------------
@@ -138,39 +119,45 @@ def _hierarchy_corpus():
 
 
 class TestRealUnitsDifferential:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_partitioned_hierarchies_match_oracle(self, backend):
+    def test_partitioned_hierarchies_match_oracle(self):
         cost = CostModel()
-        with kernels.use_backend(backend):
-            for hierarchy in _hierarchy_corpus():
-                units = build_units(hierarchy, granularity=4)
-                i, j, axis = units.adjacency_arrays()
-                shapes = units.unit_shapes()
-                for name in ("ISP", "G-MISP+SP"):
-                    part = PARTITIONER_REGISTRY[name]().partition(units, 8)
-                    got = comm_cost_terms(
-                        i, j, axis, part.assignment, shapes, units.loads,
-                        8, cost.ghost_width, cost.bytes_per_comm_unit,
-                    )
-                    want = ref_costmodel.comm_cost_terms(
-                        i, j, axis, part.assignment, shapes, units.loads,
-                        8, cost.ghost_width, cost.bytes_per_comm_unit,
-                    )
-                    np.testing.assert_array_equal(got[0], want[0])
-                    np.testing.assert_array_equal(got[1], want[1])
-                    assert got[2] == want[2]
+        for hierarchy in _hierarchy_corpus():
+            units = build_units(hierarchy, granularity=4)
+            i, j, axis = units.adjacency_arrays()
+            shapes = units.unit_shapes()
+            for name in ("ISP", "G-MISP+SP"):
+                part = PARTITIONER_REGISTRY[name]().partition(units, 8)
+                got = comm_cost_terms(
+                    i, j, axis, part.assignment, shapes, units.loads,
+                    8, cost.ghost_width, cost.bytes_per_comm_unit,
+                )
+                want = ref_costmodel.comm_cost_terms(
+                    i, j, axis, part.assignment, shapes, units.loads,
+                    8, cost.ghost_width, cost.bytes_per_comm_unit,
+                )
+                np.testing.assert_array_equal(got[0], want[0])
+                np.testing.assert_array_equal(got[1], want[1])
+                assert got[2] == want[2]
 
-    def test_per_step_comm_times_backends_agree(self):
+    def test_per_step_comm_times_matches_oracle(self):
         hierarchy = _hierarchy_corpus()[0]
         units = build_units(hierarchy, granularity=4)
         part = PARTITIONER_REGISTRY["ISP"]().partition(units, 8)
         cost = CostModel()
-        with kernels.use_backend("vector"):
-            tv, gv = per_step_comm_times(part, cost, 1e8)
-        with kernels.use_backend("scalar"):
-            ts, gs = per_step_comm_times(part, cost, 1e8)
-        np.testing.assert_array_equal(tv, ts)
-        assert gv == gs
+        bandwidth = 1e8
+        got, ghost = per_step_comm_times(part, cost, bandwidth)
+        i, j, axis = units.adjacency_arrays()
+        comm_bytes, neighbor_count, want_ghost = ref_costmodel.comm_cost_terms(
+            i, j, axis, part.assignment, units.unit_shapes(), units.loads,
+            8, cost.ghost_width, cost.bytes_per_comm_unit,
+        )
+        msg_factor = float(part.params.get("messages_per_neighbor", 3.0))
+        want = (
+            comm_bytes / bandwidth
+            + cost.latency_per_neighbor * neighbor_count * msg_factor
+        )
+        np.testing.assert_array_equal(got, want)
+        assert ghost == want_ghost
 
 
 # -- golden corpus ------------------------------------------------------------
@@ -178,46 +165,27 @@ class TestRealUnitsDifferential:
 GOLDEN = TESTS / "golden" / "costmodel.json"
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_golden_costmodel_corpus(backend):
+def test_golden_costmodel_corpus():
     doc = json.loads(GOLDEN.read_text())
     cost = CostModel()
-    with kernels.use_backend(backend):
-        for case_name, entry in doc["cases"].items():
-            case = json.loads((TESTS / "golden" / f"{case_name}.json").read_text())
-            hierarchy = GridHierarchy.from_dict(case["hierarchy"])
-            units = build_units(hierarchy, granularity=doc["granularity"])
-            i, j, axis = units.adjacency_arrays()
-            shapes = units.unit_shapes()
-            for name, want in entry.items():
-                part = PARTITIONER_REGISTRY[name]().partition(
-                    units, doc["num_procs"]
-                )
-                comm_bytes, neighbor_count, ghost_work = comm_cost_terms(
-                    i, j, axis, part.assignment, shapes, units.loads,
-                    doc["num_procs"], cost.ghost_width,
-                    cost.bytes_per_comm_unit,
-                )
+    for case_name, entry in doc["cases"].items():
+        case = json.loads((TESTS / "golden" / f"{case_name}.json").read_text())
+        hierarchy = GridHierarchy.from_dict(case["hierarchy"])
+        units = build_units(hierarchy, granularity=doc["granularity"])
+        i, j, axis = units.adjacency_arrays()
+        shapes = units.unit_shapes()
+        for name, want in entry.items():
+            part = PARTITIONER_REGISTRY[name]().partition(
+                units, doc["num_procs"]
+            )
+            args = (
+                i, j, axis, part.assignment, shapes, units.loads,
+                doc["num_procs"], cost.ghost_width, cost.bytes_per_comm_unit,
+            )
+            for impl in (comm_cost_terms, ref_costmodel.comm_cost_terms):
+                comm_bytes, neighbor_count, ghost_work = impl(*args)
                 assert digest(comm_bytes) == want["comm_bytes_digest"], (
-                    f"{case_name}/{name} comm bytes drifted under {backend}"
+                    f"{case_name}/{name} comm bytes drifted"
                 )
                 assert digest(neighbor_count) == want["neighbor_count_digest"]
                 assert ghost_work == want["ghost_work"]
-
-
-def test_kernel_call_counter_increments():
-    from repro import obs
-
-    case = _cases()[1]
-    with obs.collect() as window:
-        with kernels.use_backend("vector"):
-            comm_cost_terms(*case, 2.0, 10.0)
-        with kernels.use_backend("scalar"):
-            comm_cost_terms(*case, 2.0, 10.0)
-    reg = window.registry
-    assert reg.counter_value(
-        "kernels.calls", kernel="costmodel", backend="vector"
-    ) == 1.0
-    assert reg.counter_value(
-        "kernels.calls", kernel="costmodel", backend="scalar"
-    ) == 1.0

@@ -5,6 +5,7 @@ import pytest
 from repro.experiments import EXPERIMENTS, fig2, table1, table2, table3
 from repro.experiments.fig3 import ascii_profile
 from repro.cli import main as cli_main
+from repro.sweep.scenario import ScenarioContext
 
 
 class TestRegistry:
@@ -16,29 +17,29 @@ class TestRegistry:
 
     def test_modules_expose_run_and_render(self):
         for module in EXPERIMENTS.values():
-            assert callable(module.run)
-            assert callable(module.render)
+            assert callable(module.run_scenario)
+            assert callable(module.render_scenario)
 
 
 class TestLightweightExperiments:
     def test_table2_render(self):
-        out = table2.render(table2.run())
+        out = table2.render_scenario(table2.run_scenario(ScenarioContext()))
         assert "Table 2" in out
         for octant in ("I", "VIII"):
             assert octant in out
 
     def test_fig2_runs_clean(self):
-        results = fig2.run()
-        assert len(results) == 8
-        out = fig2.render(results)
+        result = fig2.run_scenario(ScenarioContext())
+        assert len(result["corners"]) == 8
+        out = fig2.render_scenario(result)
         assert "MISS" not in out
 
-    def test_table3_on_small_trace(self, small_rm3d_trace):
-        rows = table3.run(small_rm3d_trace)
-        assert len(rows) == len(small_rm3d_trace)
-        # render compares against paper indices; needs >= 202 rows, so
-        # just exercise the row structure here.
-        assert all(r.partitioner for r in rows)
+    def test_table3_on_small_trace(self):
+        result = table3.run_scenario(ScenarioContext(params={"trace": "small"}))
+        assert result["num_snapshots"] == len(result["rows"]) > 0
+        # the paper-sampled indices need >= 202 snapshots, so just
+        # exercise the row structure here.
+        assert all(partitioner for _, partitioner in result["rows"])
 
     def test_table1_paper_constants(self):
         assert set(table1.PAPER) == {200, 400, 600, 800, 1000}
@@ -52,16 +53,15 @@ class TestLightweightExperiments:
 
 
 class TestCLI:
-    def test_cli_lightweight_experiment(self, capsys):
-        assert cli_main(["table2"]) == 0
-        out = capsys.readouterr().out
-        assert "Table 2" in out
-
     def test_cli_multiple(self, capsys):
-        assert cli_main(["table2", "fig2"]) == 0
+        assert cli_main(["run", "table2", "fig2"]) == 0
         out = capsys.readouterr().out
         assert "Table 2" in out and "Figure 2" in out
 
     def test_cli_rejects_unknown(self):
         with pytest.raises(SystemExit):
-            cli_main(["table99"])
+            cli_main(["run", "table99"])
+
+    def test_cli_requires_a_verb(self):
+        with pytest.raises(SystemExit):
+            cli_main(["table2"])

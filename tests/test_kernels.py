@@ -1,8 +1,8 @@
-"""Differential tests: kernel backends vs the frozen scalar oracle.
+"""Differential tests: the partitioning kernels vs the frozen oracles.
 
-Every vectorized kernel in :mod:`repro.kernels` must be *bit-identical*
-to the scalar loop it replaces.  The oracle is the frozen copy under
-``tests/reference/`` (see its freeze rule); both backends are compared
+Every kernel on the partitioning hot path must be *bit-identical* to
+the scalar loop it replaced.  The oracle is the frozen copy under
+``tests/reference/`` (see its freeze rule); each kernel is compared
 against it over a randomized corpus and a committed golden corpus of
 serialized hierarchies + partition digests under ``tests/golden/``.
 """
@@ -17,13 +17,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import kernels
 from repro.amr.box import Box
 from repro.amr.hierarchy import GridHierarchy
 from repro.amr.regrid import Regridder, RegridPolicy
-from repro.amr.trace import Snapshot
 from repro.amr.workload import VECTOR_MIN_PATCHES, composite_load_map
-from repro.core.meta_partitioner import MetaPartitioner
 from repro.partitioners import PARTITIONER_REGISTRY, build_units
 from repro.partitioners.gmisp import variable_grain_segments
 from repro.partitioners.pbd_isp import pbd_partition_cube
@@ -34,7 +31,6 @@ from repro.partitioners.sequence import (
 )
 
 TESTS = Path(__file__).parent
-BACKENDS = kernels.BACKENDS
 
 
 def _load_reference(name: str):
@@ -120,61 +116,43 @@ def _hierarchy_corpus():
 
 
 class TestSequenceDifferential:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_greedy_matches_oracle(self, backend):
+    def test_greedy_matches_oracle(self):
         rng = np.random.default_rng(1234)
-        with kernels.use_backend(backend):
-            for loads, p in _loads_corpus(rng):
-                got = greedy_sequence_partition(loads, p)
-                want = ref_sequence.greedy_sequence_partition(loads, p)
-                np.testing.assert_array_equal(got, want)
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_optimal_matches_oracle(self, backend):
-        rng = np.random.default_rng(5678)
-        with kernels.use_backend(backend):
-            for loads, p in _loads_corpus(rng):
-                got = optimal_sequence_partition(loads, p)
-                want = ref_sequence.optimal_sequence_partition(loads, p)
-                np.testing.assert_array_equal(got, want)
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_weighted_matches_oracle(self, backend):
-        rng = np.random.default_rng(91011)
-        with kernels.use_backend(backend):
-            for loads, p in _loads_corpus(rng):
-                for caps in _capacities_corpus(rng, p):
-                    got = weighted_sequence_partition(loads, p, caps)
-                    want = ref_sequence.weighted_sequence_partition(loads, p, caps)
-                    np.testing.assert_array_equal(got, want)
-
-    def test_backends_agree_pairwise(self):
-        """vector == scalar directly, not just both == oracle."""
-        rng = np.random.default_rng(1213)
         for loads, p in _loads_corpus(rng):
-            with kernels.use_backend("vector"):
-                v = greedy_sequence_partition(loads, p)
-            with kernels.use_backend("scalar"):
-                s = greedy_sequence_partition(loads, p)
-            np.testing.assert_array_equal(v, s)
+            got = greedy_sequence_partition(loads, p)
+            want = ref_sequence.greedy_sequence_partition(loads, p)
+            np.testing.assert_array_equal(got, want)
+
+    def test_optimal_matches_oracle(self):
+        rng = np.random.default_rng(5678)
+        for loads, p in _loads_corpus(rng):
+            got = optimal_sequence_partition(loads, p)
+            want = ref_sequence.optimal_sequence_partition(loads, p)
+            np.testing.assert_array_equal(got, want)
+
+    def test_weighted_matches_oracle(self):
+        rng = np.random.default_rng(91011)
+        for loads, p in _loads_corpus(rng):
+            for caps in _capacities_corpus(rng, p):
+                got = weighted_sequence_partition(loads, p, caps)
+                want = ref_sequence.weighted_sequence_partition(loads, p, caps)
+                np.testing.assert_array_equal(got, want)
 
 
 # -- G-MISP segmentation ------------------------------------------------------
 
 
 class TestGMISPDifferential:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_segments_match_oracle(self, backend):
+    def test_segments_match_oracle(self):
         rng = np.random.default_rng(1415)
-        with kernels.use_backend(backend):
-            for loads, p in _loads_corpus(rng):
-                for coarse in (4, 16, 64):
-                    for split_factor in (0.25, 1.0):
-                        got = variable_grain_segments(loads, p, coarse, split_factor)
-                        want = ref_gmisp.variable_grain_segments(
-                            loads, p, coarse, split_factor
-                        )
-                        np.testing.assert_array_equal(got, want)
+        for loads, p in _loads_corpus(rng):
+            for coarse in (4, 16, 64):
+                for split_factor in (0.25, 1.0):
+                    got = variable_grain_segments(loads, p, coarse, split_factor)
+                    want = ref_gmisp.variable_grain_segments(
+                        loads, p, coarse, split_factor
+                    )
+                    np.testing.assert_array_equal(got, want)
 
 
 # -- pBD-ISP dissection -------------------------------------------------------
@@ -183,39 +161,35 @@ class TestGMISPDifferential:
 class TestPBDDifferential:
     CUBES = [(8, 8, 8), (16, 8, 4), (5, 7, 3), (2, 2, 2), (1, 9, 1)]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_cube_owners_match_oracle(self, backend):
+    def test_cube_owners_match_oracle(self):
         rng = np.random.default_rng(1617)
-        with kernels.use_backend(backend):
-            for shape in self.CUBES:
-                for procs in (1, 2, 3, 7, 13):
-                    cube = rng.random(shape)
-                    got = pbd_partition_cube(cube, procs)
-                    want = ref_pbd.pbd_partition_cube(cube, procs)
-                    np.testing.assert_array_equal(got, want)
+        for shape in self.CUBES:
+            for procs in (1, 2, 3, 7, 13):
+                cube = rng.random(shape)
+                got = pbd_partition_cube(cube, procs)
+                want = ref_pbd.pbd_partition_cube(cube, procs)
+                np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_zero_load_cube(self, backend):
-        with kernels.use_backend(backend):
-            got = pbd_partition_cube(np.zeros((6, 4, 2)), 5)
-            want = ref_pbd.pbd_partition_cube(np.zeros((6, 4, 2)), 5)
-            np.testing.assert_array_equal(got, want)
+    def test_zero_load_cube(self):
+        got = pbd_partition_cube(np.zeros((6, 4, 2)), 5)
+        want = ref_pbd.pbd_partition_cube(np.zeros((6, 4, 2)), 5)
+        np.testing.assert_array_equal(got, want)
 
 
 # -- composite load map -------------------------------------------------------
 
 
 class TestWorkloadDifferential:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_values_match_oracle(self, backend):
+    def test_values_match_oracle(self):
         hierarchies = _hierarchy_corpus()
-        # the corpus must actually exercise the batched scatter kernel
+        # the patch count alone picks the accumulation: the corpus must
+        # exercise both the per-patch loop and the batched scatter
+        assert any(h.num_patches < VECTOR_MIN_PATCHES for h in hierarchies)
         assert any(h.num_patches >= VECTOR_MIN_PATCHES for h in hierarchies)
-        with kernels.use_backend(backend):
-            for hierarchy in hierarchies:
-                got = composite_load_map(hierarchy).values
-                want = ref_workload.composite_values(hierarchy)
-                np.testing.assert_array_equal(got, want)
+        for hierarchy in hierarchies:
+            got = composite_load_map(hierarchy).values
+            want = ref_workload.composite_values(hierarchy)
+            np.testing.assert_array_equal(got, want)
 
 
 # -- golden corpus ------------------------------------------------------------
@@ -231,20 +205,21 @@ GOLDEN = sorted(
 )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("path", GOLDEN, ids=lambda p: p.stem)
-def test_golden_corpus(path, backend):
+def test_golden_corpus(path):
     doc = json.loads(path.read_text())
     hierarchy = GridHierarchy.from_dict(doc["hierarchy"])
-    with kernels.use_backend(backend):
-        workload = composite_load_map(hierarchy)
-        assert digest(workload.values) == doc["workload_digest"]
-        units = build_units(hierarchy, granularity=doc["granularity"])
-        for name, want in doc["partitions"].items():
-            part = PARTITIONER_REGISTRY[name]().partition(units, doc["num_procs"])
-            assert digest(part.assignment) == want, (
-                f"{name} drifted from golden digest under {backend} backend"
-            )
+    workload = composite_load_map(hierarchy)
+    assert digest(workload.values) == doc["workload_digest"]
+    assert digest(ref_workload.composite_values(hierarchy)) == (
+        doc["workload_digest"]
+    )
+    units = build_units(hierarchy, granularity=doc["granularity"])
+    for name, want in doc["partitions"].items():
+        part = PARTITIONER_REGISTRY[name]().partition(units, doc["num_procs"])
+        assert digest(part.assignment) == want, (
+            f"{name} drifted from golden digest"
+        )
 
 
 def test_golden_corpus_exists():
@@ -252,72 +227,3 @@ def test_golden_corpus_exists():
     for path in GOLDEN:
         doc = json.loads(path.read_text())
         assert set(doc["partitions"]) == set(PARTITIONER_REGISTRY)
-
-
-# -- backend switch -----------------------------------------------------------
-
-
-class TestBackendSwitch:
-    def test_env_read_once_lazily(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_backend", None)
-        monkeypatch.setenv(kernels.ENV_VAR, "scalar")
-        assert kernels.active_backend() == "scalar"
-        monkeypatch.setenv(kernels.ENV_VAR, "vector")
-        assert kernels.active_backend() == "scalar"
-
-    def test_default_when_env_unset(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_backend", None)
-        monkeypatch.delenv(kernels.ENV_VAR, raising=False)
-        assert kernels.active_backend() == kernels.DEFAULT_BACKEND
-
-    def test_invalid_env_value_raises(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_backend", None)
-        monkeypatch.setenv(kernels.ENV_VAR, "simd")
-        with pytest.raises(ValueError, match="simd"):
-            kernels.active_backend()
-
-    def test_set_backend_normalizes_and_validates(self):
-        prev = kernels.active_backend()
-        try:
-            assert kernels.set_backend("  SCALAR ") == "scalar"
-            assert kernels.active_backend() == "scalar"
-            with pytest.raises(ValueError):
-                kernels.set_backend("bogus")
-            assert kernels.active_backend() == "scalar"
-        finally:
-            kernels.set_backend(prev)
-
-    def test_use_backend_restores_on_exception(self):
-        prev = kernels.active_backend()
-        with pytest.raises(RuntimeError):
-            with kernels.use_backend("scalar"):
-                assert kernels.active_backend() == "scalar"
-                raise RuntimeError("boom")
-        assert kernels.active_backend() == prev
-
-    def test_vectorized_flag(self):
-        with kernels.use_backend("vector"):
-            assert kernels.vectorized()
-        with kernels.use_backend("scalar"):
-            assert not kernels.vectorized()
-
-    def test_meta_partitioner_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="bogus"):
-            MetaPartitioner(kernel_backend="bogus")
-
-    def test_meta_partitioner_pins_backend(self, small_hierarchy):
-        prev = kernels.active_backend()
-        try:
-            kernels.set_backend("vector")
-            meta = MetaPartitioner(kernel_backend="scalar")
-            meta.decide(Snapshot(step=0, hierarchy=small_hierarchy), None)
-            assert kernels.active_backend() == "scalar"
-        finally:
-            kernels.set_backend(prev)
-
-    def test_unpinned_meta_partitioner_leaves_backend(self, small_hierarchy):
-        with kernels.use_backend("scalar"):
-            MetaPartitioner().decide(
-                Snapshot(step=0, hierarchy=small_hierarchy), None
-            )
-            assert kernels.active_backend() == "scalar"

@@ -2,8 +2,8 @@
 
 Randomized :class:`GridHierarchy` strategies (regridded noise / blob /
 spike error fields) drive every registry partitioner plus the
-capacity-weighted pair, checking the invariants both kernel backends
-must uphold:
+capacity-weighted pair, checking the invariants every partitioner must
+uphold:
 
 - **disjoint cover** — every composite unit gets exactly one owner in
   ``[0, num_procs)``,
@@ -18,9 +18,6 @@ must uphold:
   targets) to a zero-capacity processor.  Exact-zero behavior for
   well-scaled loads is pinned by the deterministic regressions in
   ``test_sequence.py``.
-
-The suite runs under whichever kernel backend is active, so CI exercises
-it once per ``REPRO_KERNELS`` mode.
 """
 
 from __future__ import annotations

@@ -201,17 +201,6 @@ class TestParallelDeterminism:
 
 
 class TestDeprecationShims:
-    def test_run_and_render_warn(self):
-        from repro.experiments import fig2, table2
-
-        with pytest.warns(DeprecationWarning, match="table2.run"):
-            raw = table2.run()
-        with pytest.warns(DeprecationWarning, match="table2.render"):
-            out = table2.render(raw)
-        assert "Table 2" in out
-        with pytest.warns(DeprecationWarning, match="fig2.run"):
-            fig2.run()
-
     def test_scenario_entrypoints_do_not_warn(self):
         import warnings
 
