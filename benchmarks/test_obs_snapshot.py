@@ -104,7 +104,7 @@ def _histograms_by_phase(doc: dict, name: str) -> dict:
 
 
 def test_obs_overhead_and_snapshot(tmp_path):
-    obs.disable()
+    assert not obs.enabled()
     # Warm-up once (partitioner instance caches, numpy JIT-ish costs).
     _timed_adaptive_run()
     disabled_s = min(_timed_adaptive_run() for _ in range(3))

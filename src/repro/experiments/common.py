@@ -9,20 +9,20 @@ sweeps:
 - the **small** trace — a reduced 64x16x16, 160-step run (~1 s),
   consumed by the default sweep scenario set and the test suite.
 
-Both are cached on disk under ``.cache/`` and written via a temp file +
-atomic rename, so concurrent sweep workers that race on a cold cache
-each produce a complete file (last writer wins with identical content)
-instead of interleaving a torn one.
+Both are cached on disk under ``.cache/`` and written with
+:func:`~repro.sweep.cache.atomic_write`, so concurrent sweep workers
+that race on a cold cache each produce a complete file (last writer wins
+with identical content) instead of interleaving a torn one.
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 from typing import Callable
 
 from repro.amr.regrid import RegridPolicy
 from repro.amr.trace import AdaptationTrace
+from repro.sweep.cache import atomic_write
 
 __all__ = [
     "NUM_COARSE_STEPS",
@@ -57,10 +57,9 @@ def _cached_trace(
 ) -> AdaptationTrace:
     """Load ``filename`` from the cache dir, generating it atomically.
 
-    The trace is written to a process-unique temp file and renamed into
-    place, so concurrent generators cannot expose a partial file to each
-    other — the fix for the cold-cache race between parallel sweep
-    workers.
+    The trace is written through :func:`~repro.sweep.cache.atomic_write`,
+    so concurrent generators cannot expose a partial file to each other
+    — the fix for the cold-cache race between parallel sweep workers.
     """
     cache_dir = (
         _default_cache_dir() if cache_dir is None else Path(cache_dir)
@@ -70,13 +69,7 @@ def _cached_trace(
     if path.exists():
         return AdaptationTrace.load(path)
     trace = generate()
-    tmp = cache_dir / f".{filename}.{os.getpid()}.tmp"
-    try:
-        trace.save(tmp)
-        os.replace(tmp, path)
-    finally:
-        if tmp.exists():  # pragma: no cover - only on write failure
-            tmp.unlink()
+    atomic_write(path, trace.save)
     return trace
 
 

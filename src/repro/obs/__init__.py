@@ -1,13 +1,14 @@
 """Observability for the Pragma reproduction pipeline.
 
 The paper argues runtime management must be measurement-driven; this
-package turns the same lens on the reproduction itself.  It holds one
-process-local :class:`~repro.obs.metrics.MetricsRegistry`, one
+package turns the same lens on the reproduction itself.  A collection
+window holds one :class:`~repro.obs.metrics.MetricsRegistry`, one
 :class:`~repro.obs.tracing.Tracer` and one
-:class:`~repro.obs.timeline.TimelineRecorder`, all defaulting to
-zero-cost null implementations so instrumented hot paths (the execution
-simulator, the meta-partitioner, the CATALINA message center, the
-resource monitor) pay nothing unless a collection window is open.
+:class:`~repro.obs.timeline.TimelineRecorder`.  Outside a window the
+sinks are zero-cost null implementations, so instrumented hot paths (the
+execution simulator, the meta-partitioner, the CATALINA message center,
+the resource monitor) pay nothing.  Windows are context-local: each
+thread sees only the window it opened itself.
 
 Usage::
 
@@ -19,14 +20,15 @@ Usage::
     window.tracer.totals_by_path()
     window.timeline.summary()
 
-or imperatively with :func:`enable` / :func:`disable`.  Instrumented call
-sites go through the module-level helpers (:func:`counter`, :func:`gauge`,
-:func:`histogram`, :func:`span`, :func:`handler_span`,
-:func:`get_timeline`), which dispatch to whatever registry, tracer and
-timeline are currently installed.
+Instrumented call sites go through the module-level helpers
+(:func:`counter`, :func:`gauge`, :func:`histogram`, :func:`span`,
+:func:`handler_span`, :func:`get_timeline`), which dispatch to the
+current context's registry, tracer and timeline.
 """
 
 from __future__ import annotations
+
+from contextvars import ContextVar
 
 from repro.obs.anomaly import Alert, EwmaDetector, detect_alerts, detect_series
 from repro.obs.benchdiff import (
@@ -95,12 +97,7 @@ __all__ = [
     "get_registry",
     "get_tracer",
     "get_timeline",
-    "set_registry",
-    "set_tracer",
-    "set_timeline",
     "enabled",
-    "enable",
-    "disable",
     "collect",
     "counter",
     "gauge",
@@ -112,78 +109,40 @@ __all__ = [
     "observability_snapshot",
 ]
 
-_NULL_REGISTRY = NullRegistry()
-_NULL_TRACER = NullTracer()
-_NULL_TIMELINE = NullTimeline()
+_NULL_SINKS = (NullRegistry(), NullTracer(), NullTimeline())
 
-_registry: MetricsRegistry = _NULL_REGISTRY
-_tracer: Tracer = _NULL_TRACER
-_timeline: TimelineRecorder = _NULL_TIMELINE
+#: the ``(registry, tracer, timeline)`` triple the helpers write to.
+#: Context-local, so a window opened by one thread (or task) is never
+#: seen by another; every new thread starts with the null sinks.
+_sinks: ContextVar[tuple[MetricsRegistry, Tracer, TimelineRecorder]] = (
+    ContextVar("repro_obs_sinks", default=_NULL_SINKS)
+)
 
 
 def get_registry() -> MetricsRegistry:
-    """The currently installed metrics registry (null when disabled)."""
-    return _registry
+    """The current context's metrics registry (null when disabled)."""
+    return _sinks.get()[0]
 
 
 def get_tracer() -> Tracer:
-    """The currently installed tracer (null when disabled)."""
-    return _tracer
+    """The current context's tracer (null when disabled)."""
+    return _sinks.get()[1]
 
 
 def get_timeline() -> TimelineRecorder:
-    """The currently installed timeline recorder (null when disabled)."""
-    return _timeline
-
-
-def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
-    """Install ``registry`` as the process-wide sink; returns it."""
-    global _registry
-    _registry = registry
-    return registry
-
-
-def set_tracer(tracer: Tracer) -> Tracer:
-    """Install ``tracer`` as the process-wide tracer; returns it."""
-    global _tracer
-    _tracer = tracer
-    return tracer
-
-
-def set_timeline(timeline: TimelineRecorder) -> TimelineRecorder:
-    """Install ``timeline`` as the process-wide recorder; returns it."""
-    global _timeline
-    _timeline = timeline
-    return timeline
+    """The current context's timeline recorder (null when disabled)."""
+    return _sinks.get()[2]
 
 
 def enabled() -> bool:
-    """True when a real (non-null) registry is installed."""
-    return _registry.enabled
-
-
-def enable() -> tuple[MetricsRegistry, Tracer]:
-    """Install a fresh real registry, tracer and timeline.
-
-    Returns the registry/tracer pair (the historical signature); fetch
-    the timeline with :func:`get_timeline` when you need it.
-    """
-    set_timeline(TimelineRecorder())
-    return set_registry(MetricsRegistry()), set_tracer(Tracer())
-
-
-def disable() -> None:
-    """Restore the zero-cost null registry, tracer and timeline."""
-    global _registry, _tracer, _timeline
-    _registry = _NULL_REGISTRY
-    _tracer = _NULL_TRACER
-    _timeline = _NULL_TIMELINE
+    """True when a collection window is open in the current context."""
+    return _sinks.get()[0].enabled
 
 
 class _CollectionWindow:
-    """Scoped enable/disable; exposes the registry/tracer/timeline it owned."""
+    """A scoped set of real sinks; keeps them for inspection after exit."""
 
-    __slots__ = ("registry", "tracer", "timeline", "_prev")
+    __slots__ = ("registry", "tracer", "timeline", "_token")
 
     def __init__(self) -> None:
         self.registry = MetricsRegistry()
@@ -191,25 +150,20 @@ class _CollectionWindow:
         self.timeline = TimelineRecorder()
 
     def __enter__(self) -> _CollectionWindow:
-        self._prev = (_registry, _tracer, _timeline)
-        set_registry(self.registry)
-        set_tracer(self.tracer)
-        set_timeline(self.timeline)
+        self._token = _sinks.set((self.registry, self.tracer, self.timeline))
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        prev_registry, prev_tracer, prev_timeline = self._prev
-        set_registry(prev_registry)
-        set_tracer(prev_tracer)
-        set_timeline(prev_timeline)
+        _sinks.reset(self._token)
 
 
 def collect() -> _CollectionWindow:
     """Context manager opening a fresh collection window.
 
-    On exit the previously installed registry/tracer/timeline (usually
-    the null defaults) are restored; the window keeps its ``registry``,
-    ``tracer`` and ``timeline`` for inspection and export.
+    The window's sinks are installed in the current context only; on
+    exit the sinks that were current before (usually the null defaults)
+    come back.  The window keeps its ``registry``, ``tracer`` and
+    ``timeline`` for inspection and export.
     """
     return _CollectionWindow()
 
@@ -219,12 +173,12 @@ def collect() -> _CollectionWindow:
 
 def counter(name: str, **labels: object) -> Counter:
     """Counter from the installed registry (no-op when disabled)."""
-    return _registry.counter(name, **labels)
+    return _sinks.get()[0].counter(name, **labels)
 
 
 def gauge(name: str, **labels: object) -> Gauge:
     """Gauge from the installed registry (no-op when disabled)."""
-    return _registry.gauge(name, **labels)
+    return _sinks.get()[0].gauge(name, **labels)
 
 
 def histogram(
@@ -235,12 +189,12 @@ def histogram(
     ``window`` selects the sliding-window mode when the instrument is
     first created (see :class:`~repro.obs.metrics.Histogram`).
     """
-    return _registry.histogram(name, window, **labels)
+    return _sinks.get()[0].histogram(name, window, **labels)
 
 
 def span(name: str, **attrs: object):
     """Span context manager from the installed tracer (no-op when disabled)."""
-    return _tracer.span(name, **attrs)
+    return _sinks.get()[1].span(name, **attrs)
 
 
 def handler_span(name: str, message, **attrs: object):
@@ -252,6 +206,6 @@ def handler_span(name: str, message, **attrs: object):
     slice, so trace viewers draw the send → handle arrow.  No-op when
     tracing is disabled.
     """
-    return _tracer.handler_span(
+    return _sinks.get()[1].handler_span(
         name, getattr(message, "trace_ctx", None), **attrs
     )

@@ -10,7 +10,9 @@ Two ways to feed a :class:`~repro.serve.server.ScenarioServer`:
 - :func:`serve_socket` — a local (UNIX-domain) socket accepting
   line-oriented connections; each request line is answered immediately,
   ``result`` waits for a terminal job, and ``shutdown`` stops the
-  listener.  One connection per client, many clients at once.
+  listener.  One connection per client, many clients at once.  A line
+  longer than :data:`MAX_LINE_BYTES` is answered with one ``error`` and
+  skipped; the connection stays open.
 
 Both share :class:`Session`, which maps client request ids to
 :class:`~repro.serve.server.JobHandle`\\ s.
@@ -28,7 +30,11 @@ from repro.obs.live import CONTENT_TYPE
 from repro.serve.protocol import ProtocolError, encode, parse_request
 from repro.serve.server import ScenarioServer
 
-__all__ = ["Session", "run_requests", "serve_socket"]
+__all__ = ["MAX_LINE_BYTES", "Session", "run_requests", "serve_socket"]
+
+#: longest request line the socket transport reads (bytes, not counting
+#: the newline)
+MAX_LINE_BYTES = 1 << 20
 
 
 class Session:
@@ -183,25 +189,31 @@ def run_requests(
 class _SocketHandler(socketserver.StreamRequestHandler):
     """One JSONL connection: a line in, a response line out."""
 
+    def _send(self, doc: dict[str, Any]) -> None:
+        # write-and-flush per document, so stats-stream ticks reach the
+        # client as they are produced, not at stream end
+        self.wfile.write((encode(doc) + "\n").encode())
+        self.wfile.flush()
+
     def handle(self) -> None:  # pragma: no cover - exercised via socket test
         session = Session(self.server.scenario_server)  # type: ignore[attr-defined]
-        for raw in self.rfile:
+        while raw := self.rfile.readline(MAX_LINE_BYTES + 1):
+            if len(raw) > MAX_LINE_BYTES and not raw.endswith(b"\n"):
+                self._send({"op": "error", "error":
+                            f"request line exceeds {MAX_LINE_BYTES} bytes"})
+                while raw and not raw.endswith(b"\n"):
+                    raw = self.rfile.readline(MAX_LINE_BYTES + 1)
+                continue
             line = raw.decode("utf-8", errors="replace")
             if not line.strip():
                 continue
             try:
                 req = parse_request(line)
             except ProtocolError as exc:
-                self.wfile.write(
-                    (encode({"op": "error", "error": str(exc)}) + "\n").encode()
-                )
-                self.wfile.flush()
+                self._send({"op": "error", "error": str(exc)})
                 continue
-            # write-and-flush per document, so stats-stream ticks reach
-            # the client as they are produced, not at stream end
             for resp in session.dispatch_iter(req):
-                self.wfile.write((encode(resp) + "\n").encode())
-                self.wfile.flush()
+                self._send(resp)
             if session.shutdown_requested:
                 self.server.shutdown_event.set()  # type: ignore[attr-defined]
                 return

@@ -31,8 +31,8 @@ import threading
 import time
 from typing import Any, Callable
 
-from repro import obs
 from repro.agents.message_center import DeliveryPolicy
+from repro.obs.metrics import MetricsRegistry
 from repro.serve.queue import Job, JobQueue
 
 __all__ = ["WorkerDeath", "JobTimeout", "Scheduler"]
@@ -69,6 +69,7 @@ class Scheduler:
         queue: JobQueue,
         execute: Callable[[Job], Any],
         *,
+        metrics: MetricsRegistry,
         workers: int = 2,
         max_batch: int = 4,
         retry_policy: DeliveryPolicy | None = None,
@@ -76,7 +77,6 @@ class Scheduler:
         warm_requirement: Callable[[str], None] | None = None,
         death_injector: Callable[[Job, int], str | None] | None = None,
         on_event: Callable[[Job, str, float, dict], None] | None = None,
-        metrics: Any = None,
         clock: Callable[[], float] = time.perf_counter,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
@@ -93,25 +93,14 @@ class Scheduler:
         self.warm_requirement = warm_requirement or (lambda req: None)
         self.death_injector = death_injector
         self.on_event = on_event
-        #: optional always-on registry (the owning server's) that every
-        #: scheduler counter is dual-written to, alongside the global
-        #: :mod:`repro.obs` helpers (null unless a window is open)
+        #: the owning server's always-on registry; every scheduler
+        #: counter and histogram is recorded here and nowhere else
         self.metrics = metrics
         self.clock = clock
         self.sleep = sleep
         self._threads: list[threading.Thread] = []
         self._started = False
         self._stopping = False
-
-    def _inc(self, name: str, **labels: Any) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(name, **labels).inc()
-        obs.counter(name, **labels).inc()
-
-    def _observe(self, name: str, value: float, **labels: Any) -> None:
-        if self.metrics is not None:
-            self.metrics.histogram(name, **labels).observe(value)
-        obs.histogram(name, **labels).observe(value)
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -174,8 +163,8 @@ class Scheduler:
         return len(batch)
 
     def _run_batch(self, batch: list[Job], wid: int) -> None:
-        self._inc("serve.batches")
-        self._observe("serve.batch_size", len(batch))
+        self.metrics.counter("serve.batches").inc()
+        self.metrics.histogram("serve.batch_size").observe(len(batch))
         for req in sorted({r for job in batch for r in job.requires}):
             try:
                 self.warm_requirement(req)
@@ -212,8 +201,6 @@ class Scheduler:
     def _event(self, job: Job, kind: str, **attrs: Any) -> None:
         t = self.clock()
         job.events.append((kind, t, attrs))
-        obs.get_timeline().event(f"serve.{kind}", t, job=f"job-{job.seq}",
-                                 scenario=job.name, **attrs)
         if self.on_event is not None:
             self.on_event(job, kind, t, attrs)
 
@@ -224,7 +211,7 @@ class Scheduler:
             # run (the while-loop entry handles an already-committed job)
             if self._transition(job, "cancelled", abandoned_only=True,
                                 where="pre-dispatch"):
-                self._inc("serve.cancelled", where="pre-dispatch")
+                self.metrics.counter("serve.cancelled", where="pre-dispatch").inc()
                 return
         attempt = 0
         while True:
@@ -239,7 +226,7 @@ class Scheduler:
             try:
                 result = self._attempt(job, attempt)
             except WorkerDeath as death:
-                self._inc("serve.worker_deaths")
+                self.metrics.counter("serve.worker_deaths").inc()
                 self._event(job, "worker-death", attempt=attempt,
                             where=str(death))
                 if attempt >= job.max_retries:
@@ -250,11 +237,11 @@ class Scheduler:
                     return
                 attempt += 1
                 job.retries += 1
-                self._inc("serve.retries")
+                self.metrics.counter("serve.retries").inc()
                 self.sleep(self.retry_policy.backoff(attempt - 1, key=job.seq))
                 continue
             except JobTimeout:
-                self._inc("serve.timeouts")
+                self.metrics.counter("serve.timeouts").inc()
                 job.error = f"timed out after {job.timeout_s}s"
                 self._transition(job, "timeout")
                 return
@@ -271,11 +258,11 @@ class Scheduler:
             if cancelled and self._transition(job, "cancelled",
                                               abandoned_only=True,
                                               where="post-run"):
-                self._inc("serve.cancelled", where="post-run")
+                self.metrics.counter("serve.cancelled", where="post-run").inc()
                 return
             job.result = result
             if self._transition(job, "done"):
-                self._inc("serve.completed")
+                self.metrics.counter("serve.completed").inc()
             return
 
     def _attempt(self, job: Job, attempt: int) -> Any:

@@ -22,11 +22,12 @@ withdraws a pending request, ``record()`` snapshots the job document.
 ``submit`` / ``cancel`` / ``drain`` / ``stats`` / ``shutdown`` — the
 surface exported through :mod:`repro.api`.
 
-Progress is streamed three ways at once: per-job event logs, the
-:mod:`repro.obs` timeline (``serve.*`` events) and counters
-(``serve.submitted`` / ``serve.shed{reason}`` / ``serve.dedup_hits`` /
-...), and optional push listeners (the JSONL transports in
-:mod:`repro.serve.jsonl` subscribe one to stream events to clients).
+Progress is streamed two ways: per-job event logs and push listeners
+(the JSONL transports in :mod:`repro.serve.jsonl` subscribe one to
+stream events to clients).  Every event also lands in the server's
+flight recorder; counters (``serve.submitted`` / ``serve.shed{reason}``
+/ ``serve.dedup_hits`` / ...) and latency histograms go to the server's
+own registry, :attr:`ScenarioServer.metrics`, and nowhere else.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
-from repro import obs
 from repro.agents.message_center import DeliveryPolicy
 from repro.config import LiveObsOptions
 from repro.obs.live import HealthStatus, SnapshotExporter
@@ -248,11 +248,9 @@ class ScenarioServer:
             self.cache = ResultCache(Path(cache_dir) / "serve")
         else:
             self.cache = _MemoryCache()
-        #: the server's own always-on registry — the one source of truth
-        #: behind :meth:`stats`, the ``metrics`` exposition endpoint and
-        #: the live dashboard (``serve.*`` counters are dual-written to
-        #: the process-global :mod:`repro.obs` registry too, so scoped
-        #: collection windows and run reports keep seeing them)
+        #: the server's own always-on registry — the one sink for
+        #: ``serve.*`` metrics and the source behind :meth:`stats`, the
+        #: ``metrics`` exposition endpoint and the live dashboard
         self.metrics = MetricsRegistry()
         self.live_obs = live_obs if live_obs is not None else LiveObsOptions()
         self._flight = self.live_obs.build_flight_recorder(
@@ -351,17 +349,6 @@ class ScenarioServer:
 
     # -- submission --------------------------------------------------------------
 
-    def _inc(self, name: str, amount: float = 1.0, **labels: Any) -> None:
-        """Bump ``serve.<name>`` on the server registry *and* the global one.
-
-        The server's own registry backs :meth:`stats` and the live
-        exposition endpoints; the global :mod:`repro.obs` registry (null
-        unless a collection window is open) keeps run reports seeing the
-        same counters.
-        """
-        self.metrics.counter(name, **labels).inc(amount)
-        obs.counter(name, **labels).inc(amount)
-
     def _notify(self, job: Job, kind: str, t: float, attrs: dict) -> None:
         # every job event funnels through here — both the server's own
         # _emit and the scheduler's _event — so this is the one flight
@@ -388,8 +375,6 @@ class ScenarioServer:
     def _emit(self, job: Job, kind: str, **attrs: Any) -> None:
         t = self.clock()
         job.events.append((kind, t, attrs))
-        obs.get_timeline().event(f"serve.{kind}", t, job=f"job-{job.seq}",
-                                 scenario=job.name, **attrs)
         self._notify(job, kind, t, attrs)
 
     def _make_job(self, name: str, params: dict[str, Any],
@@ -408,7 +393,7 @@ class ScenarioServer:
         job.finished_t = self.clock()
         job.committed = True
         job.done.set()
-        self._inc("serve.shed", reason=reason)
+        self.metrics.counter("serve.shed", reason=reason).inc()
         if self._slo is not None:
             # unknown-scenario refusals are client errors, not load
             self._slo.record_admission(
@@ -446,7 +431,7 @@ class ScenarioServer:
                 f"unknown priority {priority!r}; "
                 f"expected one of {list(PRIORITIES)}"
             )
-        self._inc("serve.submitted", priority=priority)
+        self.metrics.counter("serve.submitted", priority=priority).inc()
         try:
             scenario = get_scenario(name)
         except KeyError:
@@ -475,7 +460,7 @@ class ScenarioServer:
                 job.committed = True
                 job.finished_t = self.clock()
                 job.done.set()
-                self._inc("serve.cache_hits")
+                self.metrics.counter("serve.cache_hits").inc()
                 if self._slo is not None:
                     self._slo.record_admission(priority, shed=False)
                     self._slo.record_latency(
@@ -501,14 +486,14 @@ class ScenarioServer:
                 if reason is None:
                     self._inflight[key] = job
         if twin is not None:
-            self._inc("serve.dedup_hits")
+            self.metrics.counter("serve.dedup_hits").inc()
             if self._slo is not None:
                 self._slo.record_admission(priority, shed=False)
             self._emit(twin, "dedup-attach", subscribers=twin.subscribers)
             return JobHandle(twin, self)
         if reason is not None:
             return self._shed_job(job, reason)
-        self._inc("serve.admitted", priority=priority)
+        self.metrics.counter("serve.admitted", priority=priority).inc()
         if self._slo is not None:
             self._slo.record_admission(priority, shed=False)
         self._emit(job, "queued", priority=priority)
@@ -584,12 +569,12 @@ class ScenarioServer:
             self._emit(job, "cancelled", where="pending")
             job.done.set()
             self._on_terminal(job)
-            self._inc("serve.cancelled", where="pending")
+            self.metrics.counter("serve.cancelled", where="pending").inc()
             return True
         # already running: the cooperative flag wins or loses the commit
         # race in the scheduler's post-run check
         self._emit(job, "cancel-requested")
-        self._inc("serve.cancel_requested")
+        self.metrics.counter("serve.cancel_requested").inc()
         return True
 
     # -- execution (called from worker threads) ----------------------------------
@@ -606,13 +591,12 @@ class ScenarioServer:
             seed=job.seed,
             cache_dir=Path(self.cache_dir) if self.cache_dir else None,
         )
-        with obs.span("serve.job", scenario=job.name), \
-                deterministic_partition_time():
+        with deterministic_partition_time():
             return jsonify(scenario.run(ctx))
 
     def _on_terminal(self, job: Job) -> None:
         if job.status == "done" and not job.cached:
-            self._inc("serve.executions")
+            self.metrics.counter("serve.executions").inc()
             if self.use_cache:
                 self.cache.put(job.key, {
                     "scenario": job.name,
@@ -620,19 +604,15 @@ class ScenarioServer:
                     "seed": job.seed,
                     "result": job.result,
                 })
-        self._inc("serve.jobs_terminal", status=job.status)
+        self.metrics.counter("serve.jobs_terminal", status=job.status).inc()
         self._last_commit_t = self.clock()
         if job.wait_s is not None:
             self.metrics.histogram("serve.job_wait_seconds").observe(job.wait_s)
-            obs.histogram("serve.job_wait_seconds").observe(job.wait_s)
         if job.status == "done" and job.finished_t is not None:
             latency = job.finished_t - job.submitted_t
             self.metrics.histogram(
                 "serve.request_latency_seconds", self._latency_window,
                 priority=job.priority,
-            ).observe(latency)
-            obs.histogram(
-                "serve.request_latency_seconds", priority=job.priority
             ).observe(latency)
             if self._slo is not None:
                 self._slo.record_latency(job.priority, latency)

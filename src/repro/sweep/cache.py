@@ -8,9 +8,9 @@ invalidates every entry at once (do this when a change alters results
 across the board); bumping one scenario's ``version`` invalidates just
 that scenario.
 
-Entries are JSON documents written via a temp file + atomic
-:func:`os.replace`, so concurrent writers (parallel sweeps sharing a
-cache directory) can never expose a torn file.
+Entries are JSON documents written by :func:`atomic_write` (a per-writer
+temp file + atomic :func:`os.replace`), so concurrent writers (parallel
+sweeps, threads of one server) can never expose a torn file.
 """
 
 from __future__ import annotations
@@ -18,14 +18,15 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
-__all__ = ["CODE_SALT", "ResultCache", "atomic_write_json", "cache_key"]
+__all__ = ["CODE_SALT", "ResultCache", "atomic_write", "atomic_write_json", "cache_key"]
 
 #: global code-version salt folded into every cache key.  Bump whenever a
 #: change to the pipeline alters scenario results across the board.
-CODE_SALT = "2026.10-1"
+CODE_SALT = "2026.10-2"
 
 
 def cache_key(
@@ -48,21 +49,27 @@ def cache_key(
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def atomic_write_json(path: Path, document: Any) -> None:
-    """Write ``document`` as JSON to ``path`` via temp file + rename.
+def atomic_write(path: Path, write: Callable[[Path], None]) -> None:
+    """Publish ``path`` by calling ``write(tmp)`` and renaming ``tmp`` over it.
 
-    The rename is atomic on POSIX, so readers either see the old file or
-    the complete new one — never a partial write.
+    ``tmp`` comes from :func:`tempfile.mkstemp` in the target directory,
+    so concurrent writers (threads or processes) never share one; the
+    rename is atomic on POSIX, so readers never see a partial write.
     """
     path = Path(path)
-    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
+    fd, name = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+    os.close(fd)
+    tmp = Path(name)
     try:
-        with open(tmp, "w") as fh:
-            json.dump(document, fh, separators=(",", ":"))
+        write(tmp)
         os.replace(tmp, path)
     finally:
-        if tmp.exists():  # pragma: no cover - only on write failure
-            tmp.unlink()
+        tmp.unlink(missing_ok=True)
+
+
+def atomic_write_json(path: Path, document: Any) -> None:
+    """Write ``document`` as compact JSON to ``path`` via :func:`atomic_write`."""
+    atomic_write(path, lambda tmp: tmp.write_text(json.dumps(document, separators=(",", ":"))))
 
 
 class ResultCache:

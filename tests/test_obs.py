@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
@@ -20,9 +21,9 @@ from repro.partitioners import ISPPartitioner
 
 @pytest.fixture(autouse=True)
 def _obs_disabled_between_tests():
-    obs.disable()
+    assert not obs.enabled()
     yield
-    obs.disable()
+    assert not obs.enabled()
 
 
 class TestMetricsRegistry:
@@ -109,11 +110,12 @@ class TestNullDefaults:
         assert obs.counter("a") is obs.gauge("c")
 
     def test_enable_disable(self):
-        reg, tracer = obs.enable()
-        assert obs.enabled()
-        obs.counter("x").inc()
-        assert reg.counter_value("x") == 1.0
-        obs.disable()
+        with obs.collect() as window:
+            assert obs.enabled()
+            assert obs.get_registry() is window.registry
+            assert obs.get_tracer() is window.tracer
+            obs.counter("x").inc()
+        assert window.registry.counter_value("x") == 1.0
         assert not obs.enabled()
 
     def test_collect_window_restores_previous(self):
@@ -122,6 +124,58 @@ class TestNullDefaults:
             obs.counter("inside").inc()
         assert not obs.enabled()
         assert window.registry.counter_value("inside") == 1.0
+
+
+class TestContextLocalWindows:
+    def test_interleaved_windows_stay_separate(self):
+        """Two threads interleave their windows as A-enter, B-enter,
+        A-exit, B-exit; each window holds only its own thread's writes
+        and no window is left installed afterwards."""
+        barrier = threading.Barrier(2, timeout=10)
+        windows = {}
+        enabled_after = {}
+
+        def thread_a():
+            with obs.collect() as window:
+                obs.counter("a").inc()
+                barrier.wait()  # A entered
+                barrier.wait()  # B entered
+                obs.counter("a").inc()
+            enabled_after["a"] = obs.enabled()
+            windows["a"] = window
+            barrier.wait()  # A exited
+
+        def thread_b():
+            barrier.wait()
+            with obs.collect() as window:
+                obs.counter("b").inc()
+                barrier.wait()
+                barrier.wait()
+                obs.counter("b").inc()
+            enabled_after["b"] = obs.enabled()
+            windows["b"] = window
+
+        threads = [threading.Thread(target=fn) for fn in (thread_a, thread_b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+        assert windows["a"].registry.counter_value("a") == 2.0
+        assert windows["a"].registry.counter_value("b") == 0.0
+        assert windows["b"].registry.counter_value("b") == 2.0
+        assert windows["b"].registry.counter_value("a") == 0.0
+        assert enabled_after == {"a": False, "b": False}
+        assert not obs.enabled()
+
+    def test_new_thread_starts_with_null_sinks(self):
+        seen = {}
+        with obs.collect():
+            t = threading.Thread(
+                target=lambda: seen.update(enabled=obs.enabled())
+            )
+            t.start()
+            t.join(timeout=10)
+        assert seen == {"enabled": False}
 
 
 class TestTracer:

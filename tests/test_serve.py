@@ -24,7 +24,7 @@ from repro.serve import (
     ServerHandle,
     ShedError,
 )
-from repro.serve.jsonl import run_requests, serve_socket
+from repro.serve.jsonl import MAX_LINE_BYTES, run_requests, serve_socket
 from repro.serve.protocol import ProtocolError, parse_request
 from repro.serve.queue import (
     SHED_QUEUE_FULL,
@@ -485,6 +485,12 @@ class TestJsonlSocket:
             client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             client.connect(path)
             fh = client.makefile("rw", encoding="utf-8")
+            # an over-long line is refused without dropping the connection
+            fh.write("x" * (MAX_LINE_BYTES + 1) + "\n")
+            fh.flush()
+            error = json.loads(fh.readline())
+            assert error["op"] == "error"
+            assert "exceeds" in error["error"]
             fh.write('{"op": "submit", "id": "s1", "scenario": "srv-quick", '
                      '"params": {"x": 6}}\n')
             fh.flush()
@@ -604,3 +610,34 @@ class TestReviewRegressions:
             _GATE.set()
             assert first.wait(timeout=10.0)
             assert first.result()["released"] is True
+
+
+class TestConcurrentScenarios:
+    #: degraded and flapping first: they are dispatched together, and
+    #: they are the pair whose counters collide when windows are shared
+    CHAOS = tuple(
+        f"chaos-matrix-{fault}"
+        for fault in ("degraded", "flapping", "crash", "partition")
+    )
+
+    def test_concurrent_chaos_matrix_matches_serial(self):
+        """The chaos-matrix scenarios read their counters from an
+        ``obs.collect()`` window; two workers running them at once must
+        not see each other's windows, so every served result equals the
+        same scenario run serially in-process."""
+        from repro.partitioners import deterministic_partition_time
+        from repro.sweep.scenario import get_scenario, jsonify
+
+        server = make_server(workers=2, max_batch=1, start=False,
+                             scenario_modules=("repro.sweep.builtin",))
+        with server:
+            handles = [server.submit(name) for name in self.CHAOS]
+            server.start()
+            served = [h.result(timeout=60) for h in handles]
+        for name, result in zip(self.CHAOS, served):
+            scenario = get_scenario(name)
+            with deterministic_partition_time():
+                serial = jsonify(scenario.run(scenario.make_context()))
+            assert json.dumps(result, sort_keys=True) == json.dumps(
+                serial, sort_keys=True
+            ), name

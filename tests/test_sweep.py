@@ -1,6 +1,7 @@
 """Tests for the scenario sweep engine (repro.sweep)."""
 
 import json
+import threading
 
 import pytest
 
@@ -119,6 +120,31 @@ class TestResultCache:
         path = tmp_path / "doc.json"
         atomic_write_json(path, {"a": 1})
         assert json.loads(path.read_text()) == {"a": 1}
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_concurrent_puts_of_one_key(self, tmp_path):
+        """Threads of one process writing the same key each get their
+        own temp file: no writer fails, none publishes a partial file."""
+        cache = ResultCache(tmp_path)
+        key = cache_key("t", {"a": 1})
+        docs = [{"writer": i, "result": list(range(2000))} for i in range(8)]
+        barrier = threading.Barrier(len(docs), timeout=10)
+        errors = []
+
+        def put(doc):
+            barrier.wait()
+            try:
+                cache.put(key, doc)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=put, args=(d,)) for d in docs]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+        assert errors == []
+        assert json.loads(cache.path_for(key).read_text()) in docs
         assert not list(tmp_path.glob("*.tmp"))
 
 
