@@ -2,7 +2,8 @@
 
 Times every partitioning kernel against its frozen scalar oracle under
 ``tests/reference/`` on seeded synthetic inputs, asserts the pay-off the
-vector kernels promised (sequence partitioning >= 3x at 1e5 units), and
+vector kernels promised (sequence partitioning >= 3x at 1e5 units; the
+fragment count and the refined mask >= 3x on the reference lattice), and
 writes the machine-readable snapshot the ``python -m repro benchdiff``
 CI gate compares against.  ``wall_scalar_s`` is the oracle's time and
 ``wall_vector_s`` the in-tree kernel's; wall-clock and speedup entries
@@ -28,7 +29,9 @@ import numpy as np
 from repro.amr.box import Box
 from repro.amr.regrid import Regridder, RegridPolicy
 from repro.amr.workload import composite_load_map
+from repro.partitioners import PBDISPPartitioner, build_units
 from repro.partitioners.gmisp import variable_grain_segments
+from repro.partitioners.metrics import _comm_volume
 from repro.partitioners.pbd_isp import pbd_partition_cube
 from repro.partitioners.sequence import (
     greedy_sequence_partition,
@@ -54,6 +57,12 @@ PBD_SHAPE = (32, 32, 32)
 
 #: base-domain shape for the composite load-map kernel
 WORKLOAD_SHAPE = (64, 32, 32)
+
+#: the reference RM3D lattice (granularity 1) for the PAC-metric kernels
+METRIC_SHAPE = (128, 32, 32)
+
+#: acceptance floor of the fragment-count and refined-mask kernels
+MIN_METRIC_SPEEDUP = 3.0
 
 
 def _digest(values: np.ndarray) -> str:
@@ -110,11 +119,48 @@ def _bench_hierarchies(rng: np.random.Generator) -> dict:
     return {"bulky": bulky, "spiky": spiky}
 
 
+def _metric_kernels(rng: np.random.Generator, ref_metrics) -> dict:
+    """PAC comm volume, fragment count and refined mask vs their oracles.
+
+    Sparse spikes on the reference lattice, regridded into many small
+    patches (as the RM3D trace's mixing structures are), units at
+    granularity 1 and a ``PROCS``-way pBD-ISP partition; the geometry
+    memo is warmed before timing, as it is on every regrid after the
+    first.
+    """
+    domain = Box((0, 0, 0), METRIC_SHAPE)
+    spikes = np.where(rng.random(domain.shape) > 0.985, 1.0, 0.0)
+    hierarchy = Regridder(
+        domain, RegridPolicy(thresholds=(0.5,))
+    ).regrid(spikes)
+    units = build_units(hierarchy, granularity=1)
+    part = PBDISPPartitioner().partition(units, PROCS)
+    i, j, axis = units.adjacency_arrays()
+    shapes = units.unit_shapes()
+    return {
+        "pac_comm": {"ref128": _pair(
+            lambda: ref_metrics.comm_volume(
+                i, j, axis, part.assignment, shapes, units.loads
+            ),
+            lambda: _comm_volume(part),
+        )},
+        "rect_fragments": {"ref128": _pair(
+            lambda: ref_metrics.rect_fragments(part.owner_lattice()),
+            part.rect_fragments,
+        )},
+        "refined_mask": {"ref128": _pair(
+            lambda: ref_metrics.refined_mask(hierarchy),
+            hierarchy.refined_mask,
+        )},
+    }
+
+
 def test_kernels_bench_snapshot(reference):
     ref_sequence = reference("ref_sequence")
     ref_gmisp = reference("ref_gmisp")
     ref_pbd = reference("ref_pbd")
     ref_workload = reference("ref_workload")
+    ref_metrics = reference("ref_metrics")
 
     rng = np.random.default_rng(SEED)
     kernels: dict = {
@@ -157,6 +203,7 @@ def test_kernels_bench_snapshot(reference):
         )
         for name, h in _bench_hierarchies(rng).items()
     }
+    kernels.update(_metric_kernels(rng, ref_metrics))
 
     largest = f"n{max(SIZES)}"
     doc = {
@@ -172,6 +219,10 @@ def test_kernels_bench_snapshot(reference):
             "greedy_speedup_at_largest": kernels["greedy"][largest]["speedup"],
             "weighted_speedup_at_largest":
                 kernels["weighted"][largest]["speedup"],
+            "rect_fragments_speedup":
+                kernels["rect_fragments"]["ref128"]["speedup"],
+            "refined_mask_speedup":
+                kernels["refined_mask"]["ref128"]["speedup"],
             "all_match": all(
                 entry["match"]
                 for kern in kernels.values()
@@ -191,5 +242,11 @@ def test_kernels_bench_snapshot(reference):
         f"weighted kernel only {gate['weighted_speedup_at_largest']:.1f}x "
         f"at n={gate['largest_n']}"
     )
+
+    for name in ("rect_fragments", "refined_mask"):
+        speedup = gate[f"{name}_speedup"]
+        assert speedup >= MIN_METRIC_SPEEDUP, (
+            f"{name} kernel only {speedup:.1f}x over its oracle"
+        )
 
     SNAPSHOT_PATH.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")

@@ -154,12 +154,21 @@ class GridHierarchy:
         this mask.
         """
         mask = np.zeros(self.domain.shape, dtype=bool)
+        dlo = np.asarray(self.domain.lo)
+        dhi = np.asarray(self.domain.hi)
         for lvl in self.levels[1:]:
+            if not lvl.patches:
+                continue
             ratio = self.cumulative_ratio(lvl.index)
-            for p in lvl:
-                base_box = p.box.coarsen(ratio).intersection(self.domain)
-                if base_box is not None:
-                    mask[base_box.slices(self.domain.lo)] = True
+            # Coarsen every patch of the level to base space (floor/ceil)
+            # and clip it to the domain, all at once.
+            lo = np.array([p.box.lo for p in lvl.patches]) // ratio
+            hi = -(-np.array([p.box.hi for p in lvl.patches]) // ratio)
+            lo = np.maximum(lo, dlo) - dlo
+            # (>= 0: a negative stop would index from the far end)
+            hi = np.maximum(np.minimum(hi, dhi) - dlo, 0)
+            for (x0, y0, z0), (x1, y1, z1) in zip(lo.tolist(), hi.tolist()):
+                mask[x0:x1, y0:y1, z0:z1] = True
         return mask
 
     def boundary_cells(self) -> float:

@@ -335,7 +335,7 @@ def serve_main(args: argparse.Namespace) -> int:
     """
     from repro.config import LiveObsOptions
     from repro.serve import ScenarioServer
-    from repro.serve.jsonl import run_requests, serve_socket
+    from repro.serve.jsonl import bounded_lines, run_requests, serve_socket
 
     live_obs = LiveObsOptions(
         enabled=not args.no_live_obs,
@@ -362,11 +362,12 @@ def serve_main(args: argparse.Namespace) -> int:
                        "stats": server.stats()}
         else:
             if args.requests is not None:
-                with open(args.requests, encoding="utf-8") as fh:
-                    lines = fh.readlines()
+                with open(args.requests, "rb") as fh:
+                    summary = run_requests(server, bounded_lines(fh), sys.stdout)
             else:
-                lines = sys.stdin
-            summary = run_requests(server, lines, sys.stdout)
+                summary = run_requests(
+                    server, bounded_lines(sys.stdin.buffer), sys.stdout
+                )
     finally:
         server.shutdown()
     if args.json is not None:

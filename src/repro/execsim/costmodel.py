@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CostModel", "comm_cost_terms", "per_step_comm_times"]
+from repro.partitioners.units import face_areas
 
-#: face-area axis pairs: the two extents orthogonal to each adjacency axis
-_OTHER_AXES = np.array([[1, 2], [0, 2], [0, 1]])
+__all__ = ["CostModel", "comm_cost_terms", "per_step_comm_times"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,22 +108,17 @@ def comm_cost_terms(
 
     ic = i[cut]
     jc = j[cut]
-    axc = axis[cut]
     oic = oi[cut]
     ojc = oj[cut]
 
-    face = np.empty(ic.size, dtype=float)
-    for ax in range(3):
-        sel = axc == ax
-        if sel.any():
-            o1, o2 = _OTHER_AXES[ax]
-            a = np.minimum(shapes[ic[sel], o1], shapes[jc[sel], o1])
-            b = np.minimum(shapes[ic[sel], o2], shapes[jc[sel], o2])
-            face[sel] = a * b
-
-    cells = shapes.prod(axis=1).astype(float)
-    density = loads / np.maximum(cells, 1.0)
-    vol = face * 0.5 * (density[ic] + density[jc]) * ghost_width
+    face = face_areas(ic, jc, axis[cut], shapes)
+    # Densities of the cut endpoints only: the integer column product is
+    # exact, so each equals the oracle's all-unit density bit for bit.
+    ci = shapes[ic, 0] * shapes[ic, 1] * shapes[ic, 2]
+    cj = shapes[jc, 0] * shapes[jc, 1] * shapes[jc, 2]
+    density_i = loads[ic] / np.maximum(ci, 1.0)
+    density_j = loads[jc] / np.maximum(cj, 1.0)
+    vol = face * 0.5 * (density_i + density_j) * ghost_width
     byts = vol * bytes_per_comm_unit
 
     # One bincount over both endpoint passes: per processor the weights

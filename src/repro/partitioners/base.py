@@ -113,39 +113,25 @@ class Partition:
         sheets are counted separately, so a uniform owner measures one
         fragment per z-sheet.
         """
-        lat = self.owner_lattice()
-        nx, ny, nz = lat.shape
-        # Start of an x-run at (x, y, z): first cell or owner change.
+        # x-fastest layout: each (y, z) column is one contiguous row.
+        lat = self.owner_lattice().transpose(2, 1, 0)
+        # Start of an x-run: first cell of a column or owner change.
         start = np.ones(lat.shape, dtype=bool)
-        start[1:, :, :] = lat[1:, :, :] != lat[:-1, :, :]
-        if ny == 1:
-            return int(start.sum())
+        start[..., 1:] = lat[..., 1:] != lat[..., :-1]
         # A run merges with its y-neighbor when every cell of the column
         # pair agrees in owner AND the run-start pattern matches, i.e. the
-        # runs have identical extent.  Count runs that do NOT merge.
-        same_owner = np.zeros(lat.shape, dtype=bool)
-        same_owner[:, 1:, :] = lat[:, 1:, :] == lat[:, :-1, :]
-        same_start = np.zeros(lat.shape, dtype=bool)
-        same_start[:, 1:, :] = start[:, 1:, :] == start[:, :-1, :]
-        # Propagate "column pair agrees over the whole run" down each run:
-        # a run merges iff all its cells have same_owner and same_start.
-        mergeable = (same_owner & same_start).astype(np.int64)
-        # Reduce per run: a run's cells share the cumulative run id along x.
-        run_id = np.cumsum(start, axis=0) - 1  # per (y, z) column
-        fragments = 0
-        for z in range(nz):
-            for y in range(ny):
-                ids = run_id[:, y, z]
-                starts_col = start[:, y, z]
-                n_runs = int(starts_col.sum())
-                if y == 0:
-                    fragments += n_runs
-                    continue
-                # A run survives (is not merged) unless every cell merges.
-                merge_all = np.ones(n_runs, dtype=np.int64)
-                np.minimum.at(merge_all, ids, mergeable[:, y, z])
-                fragments += int(n_runs - merge_all.sum())
-        return int(fragments)
+        # runs have identical extent.  Runs at y == 0 never merge.
+        keep = np.ones(lat.shape, dtype=bool)
+        keep[:, 1:, :] = (lat[:, 1:, :] != lat[:, :-1, :]) | (
+            start[:, 1:, :] != start[:, :-1, :]
+        )
+        # Number the runs with one cumsum over the flattening (every
+        # column opens a new run) and count the runs holding a cell that
+        # does not merge.
+        run_id = np.cumsum(start.ravel()) - 1
+        survives = np.zeros(int(run_id[-1]) + 1, dtype=bool)
+        survives[run_id[keep.ravel()]] = True
+        return int(np.count_nonzero(survives))
 
 
 class Partitioner(abc.ABC):

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.partitioners.base import Partition
+from repro.partitioners.units import face_areas
 from repro.util.stats import max_load_imbalance_pct
 
 __all__ = ["PACMetrics", "evaluate_partition"]
@@ -71,6 +72,9 @@ def _comm_volume(partition: Partition) -> float:
     is the face area (in base cells) scaled by the mean *load density* of
     the two units: refined columns carry proportionally more ghost data
     (each refined level adds a layer of ghost cells at higher resolution).
+    Only the cut pairs are scored; per pair the float operations are
+    those of the all-pairs loop in ``tests/reference/ref_metrics.py``, so
+    the result is bit-identical to it.
     """
     units = partition.units
     i, j, axis = units.adjacency_arrays()
@@ -79,22 +83,16 @@ def _comm_volume(partition: Partition) -> float:
     cut = partition.assignment[i] != partition.assignment[j]
     if not cut.any():
         return 0.0
-    shapes = units.unit_shapes()  # (n, 3), curve order
-    cells = shapes.prod(axis=1).astype(float)
-    density = units.loads / np.maximum(cells, 1.0)
-    # Face area: product of the smaller extents along the two other axes.
-    other = np.array([[1, 2], [0, 2], [0, 1]])
-    face = np.empty(i.size, dtype=float)
-    for ax in range(3):
-        sel = axis == ax
-        if not sel.any():
-            continue
-        o1, o2 = other[ax]
-        a = np.minimum(shapes[i[sel], o1], shapes[j[sel], o1])
-        b = np.minimum(shapes[i[sel], o2], shapes[j[sel], o2])
-        face[sel] = a * b
-    dens = 0.5 * (density[i] + density[j])
-    return float((face[cut] * dens[cut]).sum())
+    ic = i[cut]
+    jc = j[cut]
+    face = face_areas(ic, jc, axis[cut], units.unit_shapes())
+    cells = units.unit_cells()
+    loads = units.loads
+    dens = 0.5 * (
+        loads[ic] / np.maximum(cells[ic], 1.0)
+        + loads[jc] / np.maximum(cells[jc], 1.0)
+    )
+    return float((face * dens).sum())
 
 
 def _migration(partition: Partition, previous: Partition | None) -> float:

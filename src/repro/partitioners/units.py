@@ -10,6 +10,7 @@ communication metric) a constant-time lookup.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,25 +25,81 @@ __all__ = [
     "CompositeUnits",
     "build_units",
     "clear_adjacency_memo",
+    "face_areas",
     "rebuild_units",
     "units_from_map",
 ]
 
-#: memoized (grid_shape, curve) → (i, j, axis) adjacency arrays.  The
-#: lattice adjacency and curve positions are pure functions of the unit
-#: lattice shape and curve choice, yet the cost-model and PAC-metric
-#: paths rebuilt them (through Python tuple lists) at every regrid
-#: interval.  Arrays are read-only; the memo is bounded FIFO.
-_ADJ_MEMO: dict[
-    tuple[tuple[int, int, int], str],
-    tuple[np.ndarray, np.ndarray, np.ndarray],
-] = {}
-_ADJ_MEMO_MAX = 64
+
+@dataclass(frozen=True, slots=True)
+class _UnitGeometry:
+    """One memo entry; arrays in curve order, adjacency as (i, j, axis)."""
+
+    i: np.ndarray
+    j: np.ndarray
+    axis: np.ndarray
+    shapes: np.ndarray  # (n, 3) extent in base cells, edge units clipped
+    cells: np.ndarray   # (n,) integer cells per unit
+
+    @property
+    def nbytes(self) -> int:
+        return sum(
+            a.nbytes for a in (self.i, self.j, self.axis, self.shapes, self.cells)
+        )
+
+
+#: memoized (domain, granularity, curve) → unit geometry: adjacency
+#: pairs, unit shapes and cell counts, a pure function of the key that
+#: the cost model and the PAC metric read at every regrid.  Arrays are
+#: read-only.  The memo is FIFO-evicted to stay within
+#: :data:`_GEOMETRY_MEMO_BYTES` (a byte budget, not an entry count: one
+#: reference-lattice entry, 128x32x32 units, is about 13 MB).
+_GEOMETRY_MEMO: dict[tuple[Box, int, str], _UnitGeometry] = {}
+_GEOMETRY_MEMO_BYTES = 64 << 20
+#: serializes insertion and eviction across server worker threads
+_GEOMETRY_LOCK = threading.Lock()
 
 
 def clear_adjacency_memo() -> None:
-    """Drop all memoized adjacency arrays (mainly for tests)."""
-    _ADJ_MEMO.clear()
+    """Drop all memoized unit geometry (mainly for tests)."""
+    with _GEOMETRY_LOCK:
+        _GEOMETRY_MEMO.clear()
+
+
+def _memoize(key: tuple[Box, int, str], entry: _UnitGeometry) -> None:
+    """Insert ``entry``, evicting the oldest entries to stay in budget."""
+    size = entry.nbytes
+    if size > _GEOMETRY_MEMO_BYTES:
+        return
+    with _GEOMETRY_LOCK:
+        _GEOMETRY_MEMO.pop(key, None)
+        used = sum(e.nbytes for e in _GEOMETRY_MEMO.values())
+        while _GEOMETRY_MEMO and used + size > _GEOMETRY_MEMO_BYTES:
+            used -= _GEOMETRY_MEMO.pop(next(iter(_GEOMETRY_MEMO))).nbytes
+        _GEOMETRY_MEMO[key] = entry
+
+
+#: face-area axis pairs: the two extents orthogonal to each adjacency axis
+_OTHER_AXES = np.array([[1, 2], [0, 2], [0, 1]])
+
+
+def face_areas(
+    i: np.ndarray, j: np.ndarray, axis: np.ndarray, shapes: np.ndarray
+) -> np.ndarray:
+    """Area (base cells) of the face between units ``i[k]`` and ``j[k]``.
+
+    The product of the smaller extents along the two axes orthogonal to
+    ``axis[k]``, as a float array aligned with the pairs.
+    """
+    face = np.empty(i.size, dtype=float)
+    for ax in range(3):
+        sel = axis == ax
+        if sel.any():
+            o1, o2 = _OTHER_AXES[ax]
+            a = np.minimum(shapes[i[sel], o1], shapes[j[sel], o1])
+            b = np.minimum(shapes[i[sel], o2], shapes[j[sel], o2])
+            face[sel] = a * b
+    return face
 
 
 @dataclass(slots=True)
@@ -84,11 +141,15 @@ class CompositeUnits:
         return Box(lo, hi)
 
     def unit_shapes(self) -> np.ndarray:
-        """(n, 3) extent of each unit in base cells (edge units clipped)."""
-        g = self.granularity
-        lo = self.ijk * g + np.asarray(self.domain.lo)
-        hi = np.minimum(lo + g, np.asarray(self.domain.hi))
-        return hi - lo
+        """(n, 3) extent of each unit in base cells (edge units clipped).
+
+        Memoized with the adjacency; the array is read-only.
+        """
+        return self._geometry().shapes
+
+    def unit_cells(self) -> np.ndarray:
+        """(n,) integer cell count of each unit (read-only, memoized)."""
+        return self._geometry().cells
 
     def neighbors_in_curve_order(self) -> list[tuple[int, int, int]]:
         """Face-adjacent unit pairs as (i, j, axis) with i, j curve positions.
@@ -101,11 +162,16 @@ class CompositeUnits:
     def adjacency_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vectorized adjacency: (i, j, axis) arrays of curve positions.
 
-        Pure function of ``(grid_shape, curve)``, memoized process-wide —
-        the returned arrays are read-only (copy before mutating).
+        Pure function of ``(domain, granularity, curve)``, memoized
+        process-wide — the returned arrays are read-only (copy before
+        mutating).
         """
-        memo_key = (self.grid_shape, self.curve)
-        cached = _ADJ_MEMO.get(memo_key)
+        geo = self._geometry()
+        return geo.i, geo.j, geo.axis
+
+    def _geometry(self) -> _UnitGeometry:
+        memo_key = (self.domain, self.granularity, self.curve)
+        cached = _GEOMETRY_MEMO.get(memo_key)
         if cached is not None:
             obs.counter("units.adjacency_memo", outcome="hit").inc()
             return cached
@@ -123,15 +189,20 @@ class CompositeUnits:
             ii.append(a)
             jj.append(lat[tuple(sl_hi)].ravel())
             aa.append(np.full(a.size, axis, dtype=int))
-        i = np.concatenate(ii).astype(int, copy=False)
-        j = np.concatenate(jj).astype(int, copy=False)
-        axis_arr = np.concatenate(aa)
-        for arr in (i, j, axis_arr):
+        g = self.granularity
+        lo = self.ijk * g + np.asarray(self.domain.lo)
+        shapes = np.minimum(lo + g, np.asarray(self.domain.hi)) - lo
+        entry = _UnitGeometry(
+            i=np.concatenate(ii).astype(int, copy=False),
+            j=np.concatenate(jj).astype(int, copy=False),
+            axis=np.concatenate(aa),
+            shapes=shapes,
+            cells=shapes[:, 0] * shapes[:, 1] * shapes[:, 2],
+        )
+        for arr in (entry.i, entry.j, entry.axis, entry.shapes, entry.cells):
             arr.setflags(write=False)
-        while len(_ADJ_MEMO) >= _ADJ_MEMO_MAX:
-            _ADJ_MEMO.pop(next(iter(_ADJ_MEMO)))
-        _ADJ_MEMO[memo_key] = (i, j, axis_arr)
-        return i, j, axis_arr
+        _memoize(memo_key, entry)
+        return entry
 
 
 def build_units(

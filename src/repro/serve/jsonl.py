@@ -10,9 +10,11 @@ Two ways to feed a :class:`~repro.serve.server.ScenarioServer`:
 - :func:`serve_socket` — a local (UNIX-domain) socket accepting
   line-oriented connections; each request line is answered immediately,
   ``result`` waits for a terminal job, and ``shutdown`` stops the
-  listener.  One connection per client, many clients at once.  A line
-  longer than :data:`MAX_LINE_BYTES` is answered with one ``error`` and
-  skipped; the connection stays open.
+  listener.  One connection per client, many clients at once.
+
+Both read their input through :func:`bounded_lines`: a line longer than
+:data:`MAX_LINE_BYTES` is answered with one ``error`` and skipped, and
+reading goes on (the connection stays open).
 
 Both share :class:`Session`, which maps client request ids to
 :class:`~repro.serve.server.JobHandle`\\ s.
@@ -24,17 +26,41 @@ import os
 import socketserver
 import threading
 import time
-from typing import Any, Callable, Iterable, Iterator, TextIO
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, TextIO
 
 from repro.obs.live import CONTENT_TYPE
 from repro.serve.protocol import ProtocolError, encode, parse_request
 from repro.serve.server import ScenarioServer
 
-__all__ = ["MAX_LINE_BYTES", "Session", "run_requests", "serve_socket"]
+__all__ = [
+    "MAX_LINE_BYTES",
+    "Session",
+    "bounded_lines",
+    "run_requests",
+    "serve_socket",
+]
 
-#: longest request line the socket transport reads (bytes, not counting
-#: the newline)
+#: longest request line the transports read (bytes, not counting the
+#: newline)
 MAX_LINE_BYTES = 1 << 20
+
+_OVERLONG = f"request line exceeds {MAX_LINE_BYTES} bytes"
+
+
+def bounded_lines(stream: BinaryIO) -> Iterator[str | None]:
+    """Decoded lines of a binary stream, none longer than the bound.
+
+    A line over :data:`MAX_LINE_BYTES` yields ``None`` instead; the rest
+    of it is then read in bounded chunks and discarded, so no more than
+    ``MAX_LINE_BYTES + 1`` bytes are ever held at once.
+    """
+    while raw := stream.readline(MAX_LINE_BYTES + 1):
+        if len(raw) > MAX_LINE_BYTES and not raw.endswith(b"\n"):
+            yield None
+            while raw and not raw.endswith(b"\n"):
+                raw = stream.readline(MAX_LINE_BYTES + 1)
+            continue
+        yield raw.decode("utf-8", errors="replace")
 
 
 class Session:
@@ -143,7 +169,7 @@ class Session:
 
 def run_requests(
     server: ScenarioServer,
-    lines: Iterable[str],
+    lines: Iterable[str | None],
     out: TextIO,
     *,
     drain_timeout: float | None = None,
@@ -154,10 +180,15 @@ def run_requests(
     the server drains) one ``result`` line per submit in request order
     and a final ``stats`` line.  Blank lines and ``#`` comments are
     skipped; malformed lines produce ``error`` responses without killing
-    the stream.  Returns a summary with per-status job counts.
+    the stream, and so does a ``None`` line — an over-long line, as
+    :func:`bounded_lines` (the reader of every byte stream) reports it.
+    Returns a summary with per-status job counts.
     """
     session = Session(server)
     for line in lines:
+        if line is None:
+            print(encode({"op": "error", "error": _OVERLONG}), file=out)
+            continue
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         try:
@@ -197,14 +228,10 @@ class _SocketHandler(socketserver.StreamRequestHandler):
 
     def handle(self) -> None:  # pragma: no cover - exercised via socket test
         session = Session(self.server.scenario_server)  # type: ignore[attr-defined]
-        while raw := self.rfile.readline(MAX_LINE_BYTES + 1):
-            if len(raw) > MAX_LINE_BYTES and not raw.endswith(b"\n"):
-                self._send({"op": "error", "error":
-                            f"request line exceeds {MAX_LINE_BYTES} bytes"})
-                while raw and not raw.endswith(b"\n"):
-                    raw = self.rfile.readline(MAX_LINE_BYTES + 1)
+        for line in bounded_lines(self.rfile):
+            if line is None:
+                self._send({"op": "error", "error": _OVERLONG})
                 continue
-            line = raw.decode("utf-8", errors="replace")
             if not line.strip():
                 continue
             try:

@@ -10,7 +10,9 @@ parsing behavior cannot drift between ``run``, ``sweep``, ``chaos``,
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import sys
 import time
 
 import pytest
@@ -130,6 +132,30 @@ def test_serve_stream_mode_end_to_end(tmp_path, capsys):
     summary = json.loads(summary_path.read_text())
     assert summary["by_status"] == {"done": 2, "shed": 1}
     assert summary["stats"]["counters"]["dedup_hits"] == 1
+
+
+def test_serve_stdin_bounds_line_length(capsys, monkeypatch):
+    """Over stdin, an over-long line is refused and reading goes on."""
+    from repro.serve.jsonl import MAX_LINE_BYTES
+    from repro.sweep.scenario import FunctionScenario, register, unregister
+
+    register(FunctionScenario("cli-quick", lambda ctx: {"ok": True}),
+             replace=True)
+    data = (
+        b"#" + b"x" * (2 * MAX_LINE_BYTES) + b"\n"
+        b'{"op": "submit", "id": "a", "scenario": "cli-quick"}\n'
+    )
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+    try:
+        code = main(["serve", "--no-cache"])
+    finally:
+        unregister("cli-quick")
+    assert code == 0
+    docs = [json.loads(line) for line in
+            capsys.readouterr().out.splitlines()]
+    assert [d["op"] for d in docs if d["op"] == "error"] == ["error"]
+    results = [d for d in docs if d["op"] == "result"]
+    assert [(d["id"], d["status"]) for d in results] == [("a", "done")]
 
 
 def test_serve_stream_mode_failure_exit_code(tmp_path, capsys, monkeypatch):

@@ -18,11 +18,14 @@ import numpy as np
 import pytest
 
 from repro.amr.box import Box
+from repro.amr.grid import Level, Patch
 from repro.amr.hierarchy import GridHierarchy
 from repro.amr.regrid import Regridder, RegridPolicy
-from repro.amr.workload import VECTOR_MIN_PATCHES, composite_load_map
+from repro.amr.workload import VECTOR_MIN_PATCHES, WorkloadMap, composite_load_map
 from repro.partitioners import PARTITIONER_REGISTRY, build_units
+from repro.partitioners.base import Partition
 from repro.partitioners.gmisp import variable_grain_segments
+from repro.partitioners.metrics import _comm_volume
 from repro.partitioners.pbd_isp import pbd_partition_cube
 from repro.partitioners.sequence import (
     greedy_sequence_partition,
@@ -45,6 +48,7 @@ ref_sequence = _load_reference("ref_sequence")
 ref_gmisp = _load_reference("ref_gmisp")
 ref_pbd = _load_reference("ref_pbd")
 ref_workload = _load_reference("ref_workload")
+ref_metrics = _load_reference("ref_metrics")
 
 
 def digest(arr: np.ndarray) -> str:
@@ -192,6 +196,113 @@ class TestWorkloadDifferential:
             np.testing.assert_array_equal(got, want)
 
 
+# -- PAC metric: comm volume, fragment count, refined mask ---------------------
+
+#: (domain, granularity, curve) lattices for the owner-pattern corpus
+LATTICES = [
+    (Box((0, 0, 0), (16, 8, 4)), 1, "hilbert"),
+    (Box((0, 0, 0), (12, 10, 6)), 1, "morton"),
+    (Box((0, 0, 0), (9, 1, 5)), 1, "hilbert"),     # ny == 1
+    (Box((0, 0, 0), (7, 5, 1)), 1, "morton"),      # nz == 1
+    (Box((0, 0, 0), (10, 6, 6)), 4, "hilbert"),    # clipped edge units
+    (Box((2, 3, 1), (15, 10, 8)), 3, "morton"),    # offset domain, clipped
+    (Box((0, 0, 0), (1, 1, 1)), 1, "hilbert"),     # a single unit
+]
+
+
+def _owner_cases(rng: np.random.Generator):
+    """Partitions with hand-shaped owner lattices on every lattice."""
+    for domain, g, curve in LATTICES:
+        loads = rng.random(domain.shape) * (rng.random(domain.shape) > 0.3)
+        units = build_units(WorkloadMap(domain, loads), granularity=g, curve=curve)
+        x, y, z = np.indices(units.grid_shape)
+        lattices = {
+            "single": np.zeros(units.grid_shape, dtype=int),
+            "checkerboard": (x + y + z) % 2,
+            "random": (rng.random(units.grid_shape) * 5).astype(int),
+            # equal x-runs repeated across y: runs that merge
+            "blocky": (x // 3 + 2 * (y // 2) + z // 2) % 4,
+            "slab": (x >= units.grid_shape[0] // 2).astype(int),
+        }
+        for name, lat in lattices.items():
+            part = Partition(
+                units=units,
+                num_procs=int(lat.max()) + 1,
+                assignment=lat.ravel()[units.lattice_index],
+                partitioner_name=name,
+            )
+            assert np.array_equal(part.owner_lattice(), lat)
+            yield part
+
+
+def _partitioned_cases(hierarchies):
+    for hierarchy in hierarchies:
+        for g in (1, 2):
+            units = build_units(hierarchy, granularity=g)
+            for cls in PARTITIONER_REGISTRY.values():
+                yield cls().partition(units, 7)
+
+
+def _assert_metrics_match(part: Partition) -> None:
+    units = part.units
+    i, j, axis = units.adjacency_arrays()
+    assert part.rect_fragments() == ref_metrics.rect_fragments(
+        part.owner_lattice()
+    )
+    assert _comm_volume(part) == ref_metrics.comm_volume(
+        i, j, axis, part.assignment, units.unit_shapes(), units.loads
+    )
+
+
+def _clipped_hierarchy() -> GridHierarchy:
+    """Offset domain; fine patches past every domain face, an empty level."""
+    domain = Box((4, 0, 2), (20, 8, 10))
+    fine = Level(index=1, ratio=2, patches=[
+        Patch(Box((6, -4, 3), (15, 9, 9)), level=1, patch_id=0),
+        Patch(Box((33, 10, 18), (48, 20, 24)), level=1, patch_id=1),
+        Patch(Box((-10, -10, -10), (-2, -2, -2)), level=1, patch_id=2),
+        Patch(Box((13, 1, 7), (14, 2, 8)), level=1, patch_id=3),
+    ])
+    finer = Level(index=2, ratio=2)
+    finest = Level(index=3, ratio=4, patches=[
+        Patch(Box((70, 9, 33), (170, 30, 41)), level=3, patch_id=0),
+    ])
+    base = Level(index=0, ratio=1, patches=[Patch(domain, level=0, patch_id=0)])
+    return GridHierarchy(domain=domain, levels=[base, fine, finer, finest])
+
+
+class TestMetricDifferential:
+    def test_owner_lattices_match_oracle(self):
+        for part in _owner_cases(np.random.default_rng(2021)):
+            _assert_metrics_match(part)
+
+    def test_partitions_match_oracle(self):
+        for part in _partitioned_cases(_hierarchy_corpus()):
+            _assert_metrics_match(part)
+
+    def test_unit_shapes_are_clipped_boxes(self):
+        for domain, g, curve in LATTICES:
+            units = build_units(
+                WorkloadMap(domain, np.ones(domain.shape)),
+                granularity=g, curve=curve,
+            )
+            boxes = np.array(
+                [units.unit_box(k).shape for k in range(len(units))]
+            )
+            np.testing.assert_array_equal(units.unit_shapes(), boxes)
+            np.testing.assert_array_equal(units.unit_cells(), boxes.prod(axis=1))
+
+    def test_refined_mask_matches_oracle(self):
+        hierarchies = _hierarchy_corpus() + [_clipped_hierarchy()]
+        for hierarchy in hierarchies:
+            np.testing.assert_array_equal(
+                hierarchy.refined_mask(), ref_metrics.refined_mask(hierarchy)
+            )
+        # the clipped corpus really clips: some cells set, not all
+        mask = _clipped_hierarchy().refined_mask()
+        assert 0 < mask.sum() < mask.size
+
+
 # -- golden corpus ------------------------------------------------------------
 
 # costmodel.json is the comm-cost kernel corpus (different schema) owned
@@ -220,6 +331,18 @@ def test_golden_corpus(path):
         assert digest(part.assignment) == want, (
             f"{name} drifted from golden digest"
         )
+
+
+@pytest.mark.parametrize("path", GOLDEN, ids=lambda p: p.stem)
+def test_golden_corpus_metrics(path):
+    doc = json.loads(path.read_text())
+    hierarchy = GridHierarchy.from_dict(doc["hierarchy"])
+    np.testing.assert_array_equal(
+        hierarchy.refined_mask(), ref_metrics.refined_mask(hierarchy)
+    )
+    units = build_units(hierarchy, granularity=doc["granularity"])
+    for cls in PARTITIONER_REGISTRY.values():
+        _assert_metrics_match(cls().partition(units, doc["num_procs"]))
 
 
 def test_golden_corpus_exists():

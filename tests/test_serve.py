@@ -24,7 +24,12 @@ from repro.serve import (
     ServerHandle,
     ShedError,
 )
-from repro.serve.jsonl import MAX_LINE_BYTES, run_requests, serve_socket
+from repro.serve.jsonl import (
+    MAX_LINE_BYTES,
+    bounded_lines,
+    run_requests,
+    serve_socket,
+)
 from repro.serve.protocol import ProtocolError, parse_request
 from repro.serve.queue import (
     SHED_QUEUE_FULL,
@@ -449,6 +454,33 @@ class TestJsonlStream:
         assert results["a"]["job"] == results["b"]["job"]
         assert results["c"]["status"] == "shed"
         assert docs[-1]["op"] == "stats"
+
+    def test_oversized_line_then_submit(self):
+        """An over-long line gets one error; the stream keeps reading."""
+        data = (
+            b'{"op": "submit", "id": "big", "scenario": "srv-quick", '
+            b'"pad": "' + b"x" * MAX_LINE_BYTES + b'"}\n'
+            b'{"op": "submit", "id": "a", "scenario": "srv-quick", '
+            b'"params": {"x": 5}}\n'
+        )
+        out = io.StringIO()
+        with make_server(workers=1) as server:
+            summary = run_requests(server, bounded_lines(io.BytesIO(data)), out)
+        docs = [json.loads(line) for line in out.getvalue().splitlines()]
+        errors = [d for d in docs if d["op"] == "error"]
+        assert len(errors) == 1
+        assert f"exceeds {MAX_LINE_BYTES} bytes" in errors[0]["error"]
+        assert summary["requests"] == 1
+        results = {d["id"]: d for d in docs if d["op"] == "result"}
+        assert set(results) == {"a"}
+        assert results["a"]["result"]["square"] == 25
+
+    def test_bounded_lines_edges(self):
+        """A line of exactly the bound passes; one byte more does not."""
+        exact = b"y" * MAX_LINE_BYTES
+        data = exact + b"\n" + exact + b"z\n" + b"tail"
+        lines = list(bounded_lines(io.BytesIO(data)))
+        assert lines == [exact.decode() + "\n", None, "tail"]
 
     def test_cancel_and_shutdown_ops(self):
         lines = [
