@@ -2,7 +2,9 @@
 
 Times the comm-cost kernel against its frozen scalar oracle
 (``tests/reference/ref_costmodel.py``) on synthetic adjacency problems
-up to ~1e5 pairs (the regime a production-sized unit lattice reaches),
+up to ~1e5 pairs (the regime a production-sized unit lattice reaches);
+the kernel's time includes finding the cut with the all-pairs owner
+mask and gathering its record (:func:`repro.partitioners.base.cut_record`),
 and replays the regrid reuse cache over the reduced RM3D trace plus a
 scripted localized-adaptation trace (:mod:`repro.execsim.bench`).
 Asserts the acceptance floors — cost kernel >= 3x the oracle at 1e5
@@ -29,6 +31,7 @@ import numpy as np
 
 from repro.execsim.bench import run_reuse_bench
 from repro.execsim.costmodel import CostModel, comm_cost_terms
+from repro.partitioners.base import cut_record
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SNAPSHOT_PATH = REPO_ROOT / "BENCH_execsim.json"
@@ -72,6 +75,14 @@ def _cost_problem(rng: np.random.Generator, n_pairs: int):
     return i, j, axis, assignment, shapes, loads
 
 
+def _cost_terms(i, j, axis, assignment, shapes, loads, num_procs,
+                ghost_width, bytes_per_comm_unit):
+    """The kernel over arbitrary pairs: cut by the all-pairs owner mask."""
+    pairs = np.flatnonzero(assignment[i] != assignment[j])
+    cut = cut_record(i, j, axis, pairs, assignment, shapes, loads)
+    return comm_cost_terms(cut, num_procs, ghost_width, bytes_per_comm_unit)
+
+
 def test_execsim_bench_snapshot(reference):
     ref_costmodel = reference("ref_costmodel")
     cost = CostModel()
@@ -84,7 +95,7 @@ def test_execsim_bench_snapshot(reference):
             cost.ghost_width, cost.bytes_per_comm_unit,
         )
         wall_s, ref = _best_of(lambda: ref_costmodel.comm_cost_terms(*args))
-        wall_v, out = _best_of(lambda: comm_cost_terms(*args))
+        wall_v, out = _best_of(lambda: _cost_terms(*args))
         cost_kernel[f"pairs{n_pairs}"] = {
             "wall_scalar_s": wall_s,
             "wall_vector_s": wall_v,

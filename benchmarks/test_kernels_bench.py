@@ -3,7 +3,8 @@
 Times every partitioning kernel against its frozen scalar oracle under
 ``tests/reference/`` on seeded synthetic inputs, asserts the pay-off the
 vector kernels promised (sequence partitioning >= 3x at 1e5 units; the
-fragment count and the refined mask >= 3x on the reference lattice), and
+fragment count, the refined mask and cut scoring >= 3x on the reference
+lattice), and
 writes the machine-readable snapshot the ``python -m repro benchdiff``
 CI gate compares against.  ``wall_scalar_s`` is the oracle's time and
 ``wall_vector_s`` the in-tree kernel's; wall-clock and speedup entries
@@ -29,7 +30,9 @@ import numpy as np
 from repro.amr.box import Box
 from repro.amr.regrid import Regridder, RegridPolicy
 from repro.amr.workload import composite_load_map
+from repro.execsim.costmodel import CostModel, comm_cost_terms
 from repro.partitioners import PBDISPPartitioner, build_units
+from repro.partitioners.base import Partition
 from repro.partitioners.gmisp import variable_grain_segments
 from repro.partitioners.metrics import _comm_volume
 from repro.partitioners.pbd_isp import pbd_partition_cube
@@ -61,7 +64,8 @@ WORKLOAD_SHAPE = (64, 32, 32)
 #: the reference RM3D lattice (granularity 1) for the PAC-metric kernels
 METRIC_SHAPE = (128, 32, 32)
 
-#: acceptance floor of the fragment-count and refined-mask kernels
+#: acceptance floor of the fragment-count, refined-mask and cut-scoring
+#: kernels
 MIN_METRIC_SPEEDUP = 3.0
 
 
@@ -119,14 +123,20 @@ def _bench_hierarchies(rng: np.random.Generator) -> dict:
     return {"bulky": bulky, "spiky": spiky}
 
 
-def _metric_kernels(rng: np.random.Generator, ref_metrics) -> dict:
-    """PAC comm volume, fragment count and refined mask vs their oracles.
+def _metric_kernels(
+    rng: np.random.Generator, ref_metrics, ref_costmodel
+) -> dict:
+    """PAC comm volume, cut scoring, fragment count and refined mask.
 
     Sparse spikes on the reference lattice, regridded into many small
     patches (as the RM3D trace's mixing structures are), units at
     granularity 1 and a ``PROCS``-way pBD-ISP partition; the geometry
     memo is warmed before timing, as it is on every regrid after the
-    first.
+    first.  A partition holds its cut once found, so the comm-volume and
+    cut-scoring kernels rebuild the partition inside the timed call:
+    they time finding the cut, not a cache hit.  ``cut_scoring`` is what
+    one regrid pays for the cut: the PAC comm volume plus the cost
+    model's comm terms, against the two all-pairs oracles.
     """
     domain = Box((0, 0, 0), METRIC_SHAPE)
     spikes = np.where(rng.random(domain.shape) > 0.985, 1.0, 0.0)
@@ -137,13 +147,44 @@ def _metric_kernels(rng: np.random.Generator, ref_metrics) -> dict:
     part = PBDISPPartitioner().partition(units, PROCS)
     i, j, axis = units.adjacency_arrays()
     shapes = units.unit_shapes()
+    cost = CostModel()
+    widths = (cost.ghost_width, cost.bytes_per_comm_unit)
+
+    def fresh() -> Partition:
+        return Partition(
+            units=units, num_procs=PROCS, assignment=part.assignment,
+            partitioner_name=part.partitioner_name,
+        )
+
+    def scores(volume, terms) -> np.ndarray:
+        comm_bytes, neighbor_count, ghost_work = terms
+        return np.concatenate([[volume], comm_bytes, neighbor_count, [ghost_work]])
+
+    def cut_scoring() -> np.ndarray:
+        cut = fresh().cut()
+        return scores(
+            _comm_volume(cut), comm_cost_terms(cut, PROCS, *widths)
+        )
+
+    def cut_scoring_oracle() -> np.ndarray:
+        return scores(
+            ref_metrics.comm_volume(
+                i, j, axis, part.assignment, shapes, units.loads
+            ),
+            ref_costmodel.comm_cost_terms(
+                i, j, axis, part.assignment, shapes, units.loads,
+                PROCS, *widths,
+            ),
+        )
+
     return {
         "pac_comm": {"ref128": _pair(
             lambda: ref_metrics.comm_volume(
                 i, j, axis, part.assignment, shapes, units.loads
             ),
-            lambda: _comm_volume(part),
+            lambda: _comm_volume(fresh().cut()),
         )},
+        "cut_scoring": {"ref128": _pair(cut_scoring_oracle, cut_scoring)},
         "rect_fragments": {"ref128": _pair(
             lambda: ref_metrics.rect_fragments(part.owner_lattice()),
             part.rect_fragments,
@@ -161,6 +202,7 @@ def test_kernels_bench_snapshot(reference):
     ref_pbd = reference("ref_pbd")
     ref_workload = reference("ref_workload")
     ref_metrics = reference("ref_metrics")
+    ref_costmodel = reference("ref_costmodel")
 
     rng = np.random.default_rng(SEED)
     kernels: dict = {
@@ -203,7 +245,7 @@ def test_kernels_bench_snapshot(reference):
         )
         for name, h in _bench_hierarchies(rng).items()
     }
-    kernels.update(_metric_kernels(rng, ref_metrics))
+    kernels.update(_metric_kernels(rng, ref_metrics, ref_costmodel))
 
     largest = f"n{max(SIZES)}"
     doc = {
@@ -219,6 +261,8 @@ def test_kernels_bench_snapshot(reference):
             "greedy_speedup_at_largest": kernels["greedy"][largest]["speedup"],
             "weighted_speedup_at_largest":
                 kernels["weighted"][largest]["speedup"],
+            "cut_scoring_speedup":
+                kernels["cut_scoring"]["ref128"]["speedup"],
             "rect_fragments_speedup":
                 kernels["rect_fragments"]["ref128"]["speedup"],
             "refined_mask_speedup":
@@ -243,7 +287,7 @@ def test_kernels_bench_snapshot(reference):
         f"at n={gate['largest_n']}"
     )
 
-    for name in ("rect_fragments", "refined_mask"):
+    for name in ("cut_scoring", "rect_fragments", "refined_mask"):
         speedup = gate[f"{name}_speedup"]
         assert speedup >= MIN_METRIC_SPEEDUP, (
             f"{name} kernel only {speedup:.1f}x over its oracle"

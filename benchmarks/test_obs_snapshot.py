@@ -6,7 +6,9 @@ Two jobs:
    adaptive run is timed with the null registry (the default) and again
    inside a collection window.  The disabled path must stay within noise;
    the enabled path is reported, not asserted (collection is allowed to
-   cost something).
+   cost something).  The disabled helpers' own cost is reported as ns
+   per call of ``counter().inc()``, ``histogram().observe()`` and an
+   empty ``span`` block.
 2. Measure the serving runtime's live-telemetry overhead: the shed-path
    submit cost (cheap, deterministic, no execution) with live obs
    enabled vs the zero-cost disabled default.  The machine-independent
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import json
 import time
+import timeit
 from pathlib import Path
 
 from repro import obs
@@ -49,6 +52,27 @@ _SHED_SUBMITS = 400
 #: purpose: this guards against accidental heavy work on the hot path
 #: (an exporter flush, an unbounded scan), not against counter costs
 _LIVE_OVERHEAD_RATIO_MAX = 5.0
+
+
+#: calls per timing repeat of the disabled-helper microbenchmark
+_NULL_CALLS = 100_000
+
+#: the disabled call sites timed, as the hot paths write them
+_NULL_SITES = {
+    "disabled_counter_inc_ns": "obs.counter('hot.iters').inc()",
+    "disabled_histogram_observe_ns": "obs.histogram('hot.s').observe(0.5)",
+    "disabled_span_ns": "with obs.span('hot.iter'):\n    pass",
+}
+
+
+def _disabled_ns_per_call() -> dict:
+    """Best-of-5 nanoseconds per disabled helper call (no window open)."""
+    return {
+        key: min(timeit.repeat(
+            stmt, globals={"obs": obs}, number=_NULL_CALLS, repeat=5
+        )) / _NULL_CALLS * 1e9
+        for key, stmt in _NULL_SITES.items()
+    }
 
 
 def _median_shed_submit_s(server, repeats: int = 5) -> float:
@@ -105,6 +129,7 @@ def _histograms_by_phase(doc: dict, name: str) -> dict:
 
 def test_obs_overhead_and_snapshot(tmp_path):
     assert not obs.enabled()
+    null_ns = _disabled_ns_per_call()
     # Warm-up once (partitioner instance caches, numpy JIT-ish costs).
     _timed_adaptive_run()
     disabled_s = min(_timed_adaptive_run() for _ in range(3))
@@ -146,6 +171,7 @@ def test_obs_overhead_and_snapshot(tmp_path):
             "live_submit_shed_disabled_s": live["disabled_s"],
             "live_submit_shed_enabled_s": live["enabled_s"],
             "live_overhead_ratio": live["ratio"],
+            **null_ns,
         },
         "live_telemetry": {
             # machine-independent gate leaf: 1.0 while the enabled

@@ -9,7 +9,7 @@ import numpy as np
 
 from repro.amr.box import Box
 
-__all__ = ["Patch", "Level"]
+__all__ = ["Patch", "PatchArrays", "Level"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,18 +63,32 @@ class Patch:
         )
 
 
+@dataclass(frozen=True, slots=True)
+class PatchArrays:
+    """A level's patches as aligned read-only arrays, in patch order."""
+
+    lo: np.ndarray             # (n, 3) int64 box lower corners, level space
+    hi: np.ndarray             # (n, 3) int64 box upper corners (exclusive)
+    load_per_cell: np.ndarray  # (n,) float64
+    cells: np.ndarray          # (n,) int64 cells per patch
+
+
 @dataclass(slots=True)
 class Level:
     """One refinement level: a set of non-overlapping patches.
 
     ``ratio`` is the refinement ratio *from the next coarser level to this
     one* (1 for the base level).  Patch boxes are expressed in this level's
-    index space.
+    index space.  ``patches`` changes only through :meth:`add`, which
+    drops the cached :meth:`patch_arrays`.
     """
 
     index: int
     ratio: int
     patches: list[Patch] = field(default_factory=list)
+    _arrays: PatchArrays | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.index < 0:
@@ -94,15 +108,52 @@ class Level:
     def __len__(self) -> int:
         return len(self.patches)
 
+    def patch_arrays(self) -> PatchArrays:
+        """Bounds, per-cell loads and cell counts of every patch.
+
+        Built in one pass over the patches and cached until the next
+        :meth:`add`; the arrays are read-only.
+        """
+        arrays = self._arrays
+        if arrays is None:
+            bounds = np.array(
+                [p.box.lo + p.box.hi for p in self.patches], dtype=np.int64
+            ).reshape(-1, 6)
+            lo = bounds[:, :3]
+            hi = bounds[:, 3:]
+            shape = hi - lo
+            arrays = PatchArrays(
+                lo=lo,
+                hi=hi,
+                load_per_cell=np.array(
+                    [p.load_per_cell for p in self.patches], dtype=float
+                ),
+                cells=shape[:, 0] * shape[:, 1] * shape[:, 2],
+            )
+            for arr in (lo, hi, arrays.load_per_cell, arrays.cells):
+                arr.setflags(write=False)
+            self._arrays = arrays
+        return arrays
+
     @property
     def num_cells(self) -> int:
         """Total cells over all patches of the level."""
-        return sum(p.num_cells for p in self.patches)
+        return int(self.patch_arrays().cells.sum())
 
     @property
     def load(self) -> float:
         """Total single-sweep computational load of the level."""
-        return sum(p.load for p in self.patches)
+        arrays = self.patch_arrays()
+        # Builtin sum over Python floats, as the per-patch loop did:
+        # np.sum is pairwise and Python 3.12's sum() is compensated, so
+        # only the builtin matches the loop on every interpreter.
+        return sum((arrays.cells * arrays.load_per_cell).tolist())
+
+    def surface_area(self) -> int:
+        """Total patch surface area (level cells) — ghost-exchange proxy."""
+        s = self.patch_arrays()
+        sx, sy, sz = (s.hi - s.lo).T
+        return int((2 * (sx * sy + sy * sz + sx * sz)).sum())
 
     def add(self, patch: Patch) -> None:
         """Append a patch, enforcing level consistency and non-overlap."""
@@ -117,6 +168,7 @@ class Level:
                     f"on level {self.index}"
                 )
         self.patches.append(patch)
+        self._arrays = None
 
     def covered_fraction_of(self, box: Box) -> float:
         """Fraction of ``box`` (in this level's index space) covered by patches."""
@@ -137,23 +189,6 @@ class Level:
         for p in self.patches[1:]:
             out = out.bounding_union(p.box)
         return out
-
-    def centroid_spread(self) -> float:
-        """RMS distance of patch centroids from their mean, in base-grid cells.
-
-        Used by the octant classifier as the "scattered vs localized"
-        signal: scattered adaptation has patch centroids spread across the
-        domain, localized adaptation concentrates them.
-        """
-        if not self.patches:
-            return 0.0
-        pts = np.array([p.box.centroid for p in self.patches], dtype=float)
-        # Normalize to the base index space so levels are comparable.
-        scale = 1.0
-        if self.index > 0:
-            scale = 1.0  # boxes are already in level space; caller rescales.
-        center = pts.mean(axis=0)
-        return float(np.sqrt(((pts - center) ** 2).sum(axis=1).mean())) * scale
 
     def to_dict(self) -> dict:
         """Plain-JSON representation."""

@@ -125,18 +125,18 @@ class GridHierarchy:
         refinement scattered across the whole domain.  The normalizer is the
         RMS distance of a uniform distribution over the domain.
         """
+        refined = [lvl for lvl in self.levels[1:] if lvl.patches]
+        if not refined:
+            return 0.0
         pts = []
         weights = []
-        for lvl in self.levels[1:]:
+        for lvl in refined:
             ratio = self.cumulative_ratio(lvl.index)
-            for p in lvl:
-                c = p.box.centroid
-                pts.append([x / ratio for x in c])
-                weights.append(p.num_cells / ratio**3)
-        if not pts:
-            return 0.0
-        pts_arr = np.asarray(pts, dtype=float)
-        w = np.asarray(weights, dtype=float)
+            arrays = lvl.patch_arrays()
+            pts.append((arrays.lo + arrays.hi) / 2.0 / ratio)
+            weights.append(arrays.cells / ratio**3)
+        pts_arr = np.concatenate(pts)
+        w = np.concatenate(weights)
         w = w / w.sum()
         center = (pts_arr * w[:, None]).sum(axis=0)
         rms = float(np.sqrt((((pts_arr - center) ** 2).sum(axis=1) * w).sum()))
@@ -160,10 +160,11 @@ class GridHierarchy:
             if not lvl.patches:
                 continue
             ratio = self.cumulative_ratio(lvl.index)
+            arrays = lvl.patch_arrays()
             # Coarsen every patch of the level to base space (floor/ceil)
             # and clip it to the domain, all at once.
-            lo = np.array([p.box.lo for p in lvl.patches]) // ratio
-            hi = -(-np.array([p.box.hi for p in lvl.patches]) // ratio)
+            lo = arrays.lo // ratio
+            hi = -(-arrays.hi // ratio)
             lo = np.maximum(lo, dlo) - dlo
             # (>= 0: a negative stop would index from the far end)
             hi = np.maximum(np.minimum(hi, dhi) - dlo, 0)
@@ -173,7 +174,7 @@ class GridHierarchy:
 
     def boundary_cells(self) -> float:
         """Total patch surface area (in level cells) — ghost-communication proxy."""
-        return float(sum(p.box.surface_area() for lvl in self.levels for p in lvl))
+        return float(sum(lvl.surface_area() for lvl in self.levels))
 
     def comm_to_comp_ratio(self) -> float:
         """Ghost-surface to compute-load ratio of the *refined* levels.
@@ -188,7 +189,7 @@ class GridHierarchy:
         for lvl in self.levels[1:]:
             ratio = self.cumulative_ratio(lvl.index)
             comp += lvl.load * ratio
-            comm += sum(p.box.surface_area() for p in lvl) * ratio
+            comm += lvl.surface_area() * ratio
         if comp == 0:
             return 0.0
         return comm / comp

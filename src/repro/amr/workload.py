@@ -221,11 +221,10 @@ def _batched_values(hierarchy: GridHierarchy) -> np.ndarray:
         if not lvl.patches:
             continue
         ratio = hierarchy.cumulative_ratio(lvl.index)
-        weight = np.array(
-            [p.load_per_cell * ratio for p in lvl.patches], dtype=float
-        )
-        flo = np.array([p.box.lo for p in lvl.patches], dtype=np.int64)
-        fhi = np.array([p.box.hi for p in lvl.patches], dtype=np.int64)
+        arrays = lvl.patch_arrays()
+        weight = arrays.load_per_cell * ratio
+        flo = arrays.lo
+        fhi = arrays.hi
         # Coarsen to base space and clip to the domain in one step: the
         # clipped coarse range is exactly the per-patch loop's
         # ``coarse.intersection(domain)`` block slice.

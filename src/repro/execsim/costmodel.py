@@ -3,10 +3,10 @@
 Besides the :class:`CostModel` constants, this module owns the
 per-regrid-interval *communication cost kernel*: boundary-crossing ghost
 volume, per-processor neighbor-set sizes, and the redundant-update
-(AMR-efficiency) term, all derived from the unit adjacency arrays and the
-owner assignment with numpy scatters.  The frozen per-pair loop in
-``tests/reference/ref_costmodel.py`` pins the results bit-for-bit
-(``tests/test_execsim_kernels.py``).
+(AMR-efficiency) term, all derived from the partition's cut record
+(:meth:`repro.partitioners.base.Partition.cut`) with numpy scatters.
+The frozen per-pair loop in ``tests/reference/ref_costmodel.py`` pins
+the results bit-for-bit (``tests/test_execsim_kernels.py``).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.partitioners.units import face_areas
+from repro.partitioners.base import CutRecord
 
 __all__ = ["CostModel", "comm_cost_terms", "per_step_comm_times"]
 
@@ -71,12 +71,7 @@ class CostModel:
 
 
 def comm_cost_terms(
-    i: np.ndarray,
-    j: np.ndarray,
-    axis: np.ndarray,
-    assignment: np.ndarray,
-    shapes: np.ndarray,
-    loads: np.ndarray,
+    cut: CutRecord,
     num_procs: int,
     ghost_width: float,
     bytes_per_comm_unit: float,
@@ -98,27 +93,13 @@ def comm_cost_terms(
     """
     comm_bytes = np.zeros(num_procs)
     neighbor_count = np.zeros(num_procs)
-    if i.size == 0:
-        return comm_bytes, neighbor_count, 0.0
-    oi = assignment[i]
-    oj = assignment[j]
-    cut = oi != oj
-    if not cut.any():
+    if cut.face.size == 0:
         return comm_bytes, neighbor_count, 0.0
 
-    ic = i[cut]
-    jc = j[cut]
-    oic = oi[cut]
-    ojc = oj[cut]
-
-    face = face_areas(ic, jc, axis[cut], shapes)
-    # Densities of the cut endpoints only: the integer column product is
-    # exact, so each equals the oracle's all-unit density bit for bit.
-    ci = shapes[ic, 0] * shapes[ic, 1] * shapes[ic, 2]
-    cj = shapes[jc, 0] * shapes[jc, 1] * shapes[jc, 2]
-    density_i = loads[ic] / np.maximum(ci, 1.0)
-    density_j = loads[jc] / np.maximum(cj, 1.0)
-    vol = face * 0.5 * (density_i + density_j) * ghost_width
+    oic = cut.owner_i
+    ojc = cut.owner_j
+    face = cut.face
+    vol = face * 0.5 * cut.density * ghost_width
     byts = vol * bytes_per_comm_unit
 
     # One bincount over both endpoint passes: per processor the weights
@@ -132,9 +113,14 @@ def comm_cost_terms(
     )
 
     # Distinct neighbor processors per processor, via packed owner pairs.
+    # Cut pairs come in runs along a shared boundary: dropping repeats of
+    # the previous pair first halves what np.unique has to sort.
     lo = np.minimum(oic, ojc).astype(np.int64)
     hi = np.maximum(oic, ojc).astype(np.int64)
-    packed = np.unique(lo * np.int64(num_procs) + hi)
+    packed = lo * np.int64(num_procs) + hi
+    fresh = np.ones(packed.size, dtype=bool)
+    np.not_equal(packed[1:], packed[:-1], out=fresh[1:])
+    packed = np.unique(packed[fresh])
     neighbor_count += np.bincount(
         (packed // num_procs).astype(np.intp), minlength=num_procs
     ).astype(float)
@@ -159,17 +145,9 @@ def per_step_comm_times(
     over the link bandwidth, plus per-neighbor message latency scaled by
     the partitioner's message-aggregation factor.
     """
-    num_procs = partition.num_procs
-    units = partition.units
-    i, j, axis = units.adjacency_arrays()
     comm_bytes, neighbor_count, ghost_work = comm_cost_terms(
-        i,
-        j,
-        axis,
-        partition.assignment,
-        units.unit_shapes(),
-        units.loads,
-        num_procs,
+        partition.cut(),
+        partition.num_procs,
         cost.ghost_width,
         cost.bytes_per_comm_unit,
     )

@@ -52,6 +52,7 @@ from repro.obs.live import (
     render_prometheus,
 )
 from repro.obs.metrics import (
+    _NULL_INSTRUMENT,
     Counter,
     Gauge,
     Histogram,
@@ -59,7 +60,7 @@ from repro.obs.metrics import (
     NullRegistry,
 )
 from repro.obs.timeline import NullTimeline, StepSample, TimelineRecorder
-from repro.obs.tracing import FlowRecord, NullTracer, SpanRecord, Tracer
+from repro.obs.tracing import _NULL_SPAN, FlowRecord, NullTracer, SpanRecord, Tracer
 
 __all__ = [
     "Counter",
@@ -169,16 +170,26 @@ def collect() -> _CollectionWindow:
 
 
 # -- instrumentation helpers (what call sites import) -------------------------
+#
+# With no window open a helper costs one ContextVar.get() plus an
+# identity check, and returns the shared null instrument or span: no
+# registry dispatch, no allocation beyond the call's own arguments.
 
 
 def counter(name: str, **labels: object) -> Counter:
     """Counter from the installed registry (no-op when disabled)."""
-    return _sinks.get()[0].counter(name, **labels)
+    sinks = _sinks.get()
+    if sinks is _NULL_SINKS:
+        return _NULL_INSTRUMENT  # type: ignore[return-value]
+    return sinks[0].counter(name, **labels)
 
 
 def gauge(name: str, **labels: object) -> Gauge:
     """Gauge from the installed registry (no-op when disabled)."""
-    return _sinks.get()[0].gauge(name, **labels)
+    sinks = _sinks.get()
+    if sinks is _NULL_SINKS:
+        return _NULL_INSTRUMENT  # type: ignore[return-value]
+    return sinks[0].gauge(name, **labels)
 
 
 def histogram(
@@ -189,12 +200,18 @@ def histogram(
     ``window`` selects the sliding-window mode when the instrument is
     first created (see :class:`~repro.obs.metrics.Histogram`).
     """
-    return _sinks.get()[0].histogram(name, window, **labels)
+    sinks = _sinks.get()
+    if sinks is _NULL_SINKS:
+        return _NULL_INSTRUMENT  # type: ignore[return-value]
+    return sinks[0].histogram(name, window, **labels)
 
 
 def span(name: str, **attrs: object):
     """Span context manager from the installed tracer (no-op when disabled)."""
-    return _sinks.get()[1].span(name, **attrs)
+    sinks = _sinks.get()
+    if sinks is _NULL_SINKS:
+        return _NULL_SPAN
+    return sinks[1].span(name, **attrs)
 
 
 def handler_span(name: str, message, **attrs: object):
@@ -206,6 +223,9 @@ def handler_span(name: str, message, **attrs: object):
     slice, so trace viewers draw the send → handle arrow.  No-op when
     tracing is disabled.
     """
-    return _sinks.get()[1].handler_span(
+    sinks = _sinks.get()
+    if sinks is _NULL_SINKS:
+        return _NULL_SPAN
+    return sinks[1].handler_span(
         name, getattr(message, "trace_ctx", None), **attrs
     )

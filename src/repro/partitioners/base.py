@@ -12,8 +12,8 @@ import numpy as np
 
 from repro.partitioners.units import CompositeUnits
 
-__all__ = ["PartitionError", "Partition", "Partitioner",
-           "deterministic_partition_time"]
+__all__ = ["PartitionError", "Partition", "Partitioner", "CutRecord",
+           "cut_record", "deterministic_partition_time"]
 
 #: when set, partition() reports this modeled per-unit cost instead of
 #: measured wall-clock (see :func:`deterministic_partition_time`).
@@ -53,7 +53,70 @@ class PartitionError(RuntimeError):
     """A partitioner could not produce a valid assignment."""
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
+class CutRecord:
+    """The cut of a partition: adjacency pairs whose units differ in owner.
+
+    Arrays are aligned, one entry per cut pair, in pair order (the order
+    of the adjacency arrays the pairs were taken from).  The PAC
+    communication component and the cost model's comm terms both read
+    it; each applies its own final float expression to ``face`` and
+    ``density`` (both score a pair by the mean of its two densities).
+    """
+
+    pairs: np.ndarray      # index of each cut pair in the adjacency arrays
+    owner_i: np.ndarray    # owner of the lower endpoint ``i[pairs]``
+    owner_j: np.ndarray    # owner of the upper endpoint ``j[pairs]``
+    face: np.ndarray       # face area in base cells (float)
+    density: np.ndarray    # sum of the endpoints' load / max(cells, 1)
+
+
+def cut_record(
+    i: np.ndarray,
+    j: np.ndarray,
+    axis: np.ndarray,
+    pairs: np.ndarray,
+    assignment: np.ndarray,
+    shapes: np.ndarray,
+    loads: np.ndarray,
+) -> CutRecord:
+    """Gather the cut-sized arrays for the cut-pair indices ``pairs``.
+
+    ``(i, j, axis)`` are adjacency pairs of units with extents
+    ``shapes`` (n, 3) and ``loads``; ``pairs`` are the ascending indices
+    of the pairs whose endpoints have different owners in
+    ``assignment``.  The record's arrays are read-only; ``pairs`` is held
+    as given (not copied) and made read-only too.
+    """
+    ic = i[pairs]
+    jc = j[pairs]
+    # Extents of both endpoints, one gather per axis.  Cell counts and
+    # face areas are exact integer products, so the densities and areas
+    # equal the oracles' all-pairs values bit for bit.
+    ei = [extent[ic] for extent in shapes.T]
+    ej = [extent[jc] for extent in shapes.T]
+    density = loads[ic] / np.maximum(ei[0] * ei[1] * ei[2], 1.0)
+    density += loads[jc] / np.maximum(ej[0] * ej[1] * ej[2], 1.0)
+    # Face area: the smaller extents along the two axes orthogonal to
+    # the pair's axis.
+    mx, my, mz = (np.minimum(a, b, out=a) for a, b in zip(ei, ej))
+    del ej  # a large cut's temporaries set the replay's peak RSS
+    ax = axis[pairs]
+    face = np.where(ax == 0, my * mz, np.where(ax == 1, mx * mz, mx * my))
+    record = CutRecord(
+        pairs=pairs,
+        owner_i=assignment[ic],
+        owner_j=assignment[jc],
+        face=face.astype(float),
+        density=density,
+    )
+    for arr in (pairs, record.owner_i, record.owner_j, record.face,
+                density):
+        arr.setflags(write=False)
+    return record
+
+
+@dataclass(frozen=True, slots=True)
 class Partition:
     """An assignment of composite units to processors.
 
@@ -61,6 +124,10 @@ class Partition:
     ``partition_time`` is the cost of computing the partition — one of
     the paper's five quality components; modeled (deterministic) unless
     the caller asked :meth:`Partitioner.partition` to measure wall clock.
+
+    A partition is immutable once built: ``assignment`` is read-only, so
+    the owner lattice, the cut and the processor loads are computed once
+    and held.
     """
 
     units: CompositeUnits
@@ -69,31 +136,82 @@ class Partition:
     partitioner_name: str
     partition_time: float = 0.0
     params: dict = field(default_factory=dict)
+    _owners: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _cut: CutRecord | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _loads: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        self.assignment = np.asarray(self.assignment, dtype=int)
-        if self.assignment.shape != (len(self.units),):
+        assignment = np.asarray(self.assignment, dtype=int)
+        if assignment is self.assignment and assignment.flags.writeable:
+            # the caller's own writable array: keep a private copy
+            assignment = assignment.copy()
+        assignment.setflags(write=False)
+        object.__setattr__(self, "assignment", assignment)
+        if assignment.shape != (len(self.units),):
             raise ValueError(
-                f"assignment length {self.assignment.shape} does not match "
+                f"assignment length {assignment.shape} does not match "
                 f"{len(self.units)} units"
             )
         if self.num_procs < 1:
             raise ValueError(f"num_procs must be >= 1, got {self.num_procs}")
-        if self.assignment.size and (
-            self.assignment.min() < 0 or self.assignment.max() >= self.num_procs
+        if assignment.size and (
+            assignment.min() < 0 or assignment.max() >= self.num_procs
         ):
             raise ValueError("assignment references processors out of range")
 
     def proc_loads(self) -> np.ndarray:
-        """Total composite load per processor."""
-        return np.bincount(
-            self.assignment, weights=self.units.loads, minlength=self.num_procs
-        )
+        """Total composite load per processor (read-only, computed once)."""
+        loads = self._loads
+        if loads is None:
+            loads = np.bincount(
+                self.assignment, weights=self.units.loads,
+                minlength=self.num_procs,
+            )
+            loads.setflags(write=False)
+            object.__setattr__(self, "_loads", loads)
+        return loads
 
     def owner_lattice(self) -> np.ndarray:
-        """Owner of each unit arranged on the unit lattice (nx, ny, nz)."""
-        lat = self.assignment[self.units.curve_position]
-        return lat.reshape(self.units.grid_shape)
+        """Owner of each unit on the unit lattice (nx, ny, nz); read-only."""
+        owners = self._owners
+        if owners is None:
+            owners = self.assignment[self.units.curve_position].reshape(
+                self.units.grid_shape
+            )
+            owners.setflags(write=False)
+            object.__setattr__(self, "_owners", owners)
+        return owners
+
+    def cut(self) -> CutRecord:
+        """The cut of the partition (computed once).
+
+        Found on the owner lattice with one strided compare per axis,
+        concatenated axis-major in C order — the order in which
+        :meth:`CompositeUnits.adjacency_arrays` lists the pairs — so
+        only the cut pairs are ever gathered.
+        """
+        record = self._cut
+        if record is None:
+            lat = self.owner_lattice()
+            crossed = np.concatenate([
+                (lat[1:] != lat[:-1]).ravel(),
+                (lat[:, 1:] != lat[:, :-1]).ravel(),
+                (lat[:, :, 1:] != lat[:, :, :-1]).ravel(),
+            ])
+            units = self.units
+            i, j, axis = units.adjacency_arrays()
+            record = cut_record(
+                i, j, axis, np.flatnonzero(crossed), self.assignment,
+                units.unit_shapes(), units.loads,
+            )
+            object.__setattr__(self, "_cut", record)
+        return record
 
     def subdomain_count(self) -> int:
         """Number of contiguous (curve-order) ownership runs."""

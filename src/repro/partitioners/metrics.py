@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.partitioners.base import Partition
-from repro.partitioners.units import face_areas
+from repro.partitioners.base import CutRecord, Partition
 from repro.util.stats import max_load_imbalance_pct
 
 __all__ = ["PACMetrics", "evaluate_partition"]
@@ -52,9 +51,8 @@ def evaluate_partition(
     ``previous`` (the partition in force before this regrid) enables the
     data-migration component; without it migration is reported as 0.
     """
-    units = partition.units
     imbalance = max_load_imbalance_pct(partition.proc_loads())
-    comm = _comm_volume(partition)
+    comm = _comm_volume(partition.cut())
     migration = _migration(partition, previous)
     return PACMetrics(
         load_imbalance_pct=imbalance,
@@ -65,34 +63,20 @@ def evaluate_partition(
     )
 
 
-def _comm_volume(partition: Partition) -> float:
+def _comm_volume(cut: CutRecord) -> float:
     """Ghost-exchange volume across processor boundaries.
 
     For every face between units with different owners, the exchanged data
     is the face area (in base cells) scaled by the mean *load density* of
     the two units: refined columns carry proportionally more ghost data
     (each refined level adds a layer of ghost cells at higher resolution).
-    Only the cut pairs are scored; per pair the float operations are
+    Reads the partition's cut record; per pair the float operations are
     those of the all-pairs loop in ``tests/reference/ref_metrics.py``, so
     the result is bit-identical to it.
     """
-    units = partition.units
-    i, j, axis = units.adjacency_arrays()
-    if i.size == 0:
+    if cut.face.size == 0:
         return 0.0
-    cut = partition.assignment[i] != partition.assignment[j]
-    if not cut.any():
-        return 0.0
-    ic = i[cut]
-    jc = j[cut]
-    face = face_areas(ic, jc, axis[cut], units.unit_shapes())
-    cells = units.unit_cells()
-    loads = units.loads
-    dens = 0.5 * (
-        loads[ic] / np.maximum(cells[ic], 1.0)
-        + loads[jc] / np.maximum(cells[jc], 1.0)
-    )
-    return float((face * dens).sum())
+    return float((cut.face * (0.5 * cut.density)).sum())
 
 
 def _migration(partition: Partition, previous: Partition | None) -> float:

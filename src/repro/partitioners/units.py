@@ -25,7 +25,6 @@ __all__ = [
     "CompositeUnits",
     "build_units",
     "clear_adjacency_memo",
-    "face_areas",
     "rebuild_units",
     "units_from_map",
 ]
@@ -39,21 +38,18 @@ class _UnitGeometry:
     j: np.ndarray
     axis: np.ndarray
     shapes: np.ndarray  # (n, 3) extent in base cells, edge units clipped
-    cells: np.ndarray   # (n,) integer cells per unit
 
     @property
     def nbytes(self) -> int:
-        return sum(
-            a.nbytes for a in (self.i, self.j, self.axis, self.shapes, self.cells)
-        )
+        return sum(a.nbytes for a in (self.i, self.j, self.axis, self.shapes))
 
 
 #: memoized (domain, granularity, curve) → unit geometry: adjacency
-#: pairs, unit shapes and cell counts, a pure function of the key that
-#: the cost model and the PAC metric read at every regrid.  Arrays are
-#: read-only.  The memo is FIFO-evicted to stay within
-#: :data:`_GEOMETRY_MEMO_BYTES` (a byte budget, not an entry count: one
-#: reference-lattice entry, 128x32x32 units, is about 13 MB).
+#: pairs and unit shapes, a pure function of the key that the cut record
+#: reads at every regrid.  Arrays are read-only.  The memo is
+#: FIFO-evicted to stay within :data:`_GEOMETRY_MEMO_BYTES` (a byte
+#: budget, not an entry count: one reference-lattice entry, 128x32x32
+#: units, is about 12 MB).
 _GEOMETRY_MEMO: dict[tuple[Box, int, str], _UnitGeometry] = {}
 _GEOMETRY_MEMO_BYTES = 64 << 20
 #: serializes insertion and eviction across server worker threads
@@ -77,29 +73,6 @@ def _memoize(key: tuple[Box, int, str], entry: _UnitGeometry) -> None:
         while _GEOMETRY_MEMO and used + size > _GEOMETRY_MEMO_BYTES:
             used -= _GEOMETRY_MEMO.pop(next(iter(_GEOMETRY_MEMO))).nbytes
         _GEOMETRY_MEMO[key] = entry
-
-
-#: face-area axis pairs: the two extents orthogonal to each adjacency axis
-_OTHER_AXES = np.array([[1, 2], [0, 2], [0, 1]])
-
-
-def face_areas(
-    i: np.ndarray, j: np.ndarray, axis: np.ndarray, shapes: np.ndarray
-) -> np.ndarray:
-    """Area (base cells) of the face between units ``i[k]`` and ``j[k]``.
-
-    The product of the smaller extents along the two axes orthogonal to
-    ``axis[k]``, as a float array aligned with the pairs.
-    """
-    face = np.empty(i.size, dtype=float)
-    for ax in range(3):
-        sel = axis == ax
-        if sel.any():
-            o1, o2 = _OTHER_AXES[ax]
-            a = np.minimum(shapes[i[sel], o1], shapes[j[sel], o1])
-            b = np.minimum(shapes[i[sel], o2], shapes[j[sel], o2])
-            face[sel] = a * b
-    return face
 
 
 @dataclass(slots=True)
@@ -147,18 +120,6 @@ class CompositeUnits:
         """
         return self._geometry().shapes
 
-    def unit_cells(self) -> np.ndarray:
-        """(n,) integer cell count of each unit (read-only, memoized)."""
-        return self._geometry().cells
-
-    def neighbors_in_curve_order(self) -> list[tuple[int, int, int]]:
-        """Face-adjacent unit pairs as (i, j, axis) with i, j curve positions.
-
-        Each lattice face is reported once (from the lower neighbor).
-        """
-        i, j, axis = self.adjacency_arrays()
-        return list(zip(i.tolist(), j.tolist(), axis.tolist()))
-
     def adjacency_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vectorized adjacency: (i, j, axis) arrays of curve positions.
 
@@ -197,9 +158,8 @@ class CompositeUnits:
             j=np.concatenate(jj).astype(int, copy=False),
             axis=np.concatenate(aa),
             shapes=shapes,
-            cells=shapes[:, 0] * shapes[:, 1] * shapes[:, 2],
         )
-        for arr in (entry.i, entry.j, entry.axis, entry.shapes, entry.cells):
+        for arr in (entry.i, entry.j, entry.axis, entry.shapes):
             arr.setflags(write=False)
         _memoize(memo_key, entry)
         return entry

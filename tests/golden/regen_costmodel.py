@@ -47,19 +47,19 @@ def main() -> None:
         "cases": {},
     }
     for case_path in sorted(HERE.glob("*.json")):
-        if case_path.name == "costmodel.json":
-            continue
         case = json.loads(case_path.read_text())
+        # only the partition-corpus cases carry a hierarchy (not this
+        # corpus, the API surface snapshot or the simtest seeds)
+        if "hierarchy" not in case:
+            continue
         hierarchy = GridHierarchy.from_dict(case["hierarchy"])
         units = build_units(hierarchy, granularity=GRANULARITY)
-        i, j, axis = units.adjacency_arrays()
-        shapes = units.unit_shapes()
         entry: dict = {}
         for name in PARTITIONERS:
             part = PARTITIONER_REGISTRY[name]().partition(units, NUM_PROCS)
             comm_bytes, neighbor_count, ghost_work = comm_cost_terms(
-                i, j, axis, part.assignment, shapes, units.loads,
-                NUM_PROCS, cost.ghost_width, cost.bytes_per_comm_unit,
+                part.cut(), NUM_PROCS, cost.ghost_width,
+                cost.bytes_per_comm_unit,
             )
             entry[name] = {
                 "comm_bytes_digest": digest(comm_bytes),

@@ -1,10 +1,12 @@
 """Differential tests for the execsim communication-cost kernel.
 
-:func:`repro.execsim.costmodel.comm_cost_terms` must be
-*bit-identical* to the frozen scalar oracle in
+:func:`repro.execsim.costmodel.comm_cost_terms` over a cut record must
+be *bit-identical* to the frozen scalar oracle in
 ``tests/reference/ref_costmodel.py`` — over randomized synthetic
-adjacency problems, over real partitioned hierarchies, and over the
-committed golden corpus ``tests/golden/costmodel.json``.
+adjacency problems (cut found here with the all-pairs owner mask and
+gathered by :func:`repro.partitioners.base.cut_record`), over real
+partitioned hierarchies (the partition's own lattice-found cut), and
+over the committed golden corpus ``tests/golden/costmodel.json``.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from repro.execsim.costmodel import (
     per_step_comm_times,
 )
 from repro.partitioners import PARTITIONER_REGISTRY, build_units
+from repro.partitioners.base import cut_record
 
 TESTS = Path(__file__).parent
 
@@ -83,13 +86,21 @@ def _cases():
     return out
 
 
+def _terms_of_pairs(i, j, axis, assignment, shapes, loads, num_procs,
+                    ghost_width, bytes_per_comm_unit):
+    """The kernel over arbitrary pairs: cut by the all-pairs owner mask."""
+    pairs = np.flatnonzero(assignment[i] != assignment[j])
+    cut = cut_record(i, j, axis, pairs, assignment, shapes, loads)
+    return comm_cost_terms(cut, num_procs, ghost_width, bytes_per_comm_unit)
+
+
 class TestCostTermsDifferential:
     @pytest.mark.parametrize(
         "widths", [(2.0, 10.0), (1.0, 4.0)], ids=["default", "narrow"]
     )
     def test_matches_oracle(self, widths):
         for case in _cases():
-            got = comm_cost_terms(*case, *widths)
+            got = _terms_of_pairs(*case, *widths)
             want = ref_costmodel.comm_cost_terms(*case, *widths)
             np.testing.assert_array_equal(got[0], want[0])
             np.testing.assert_array_equal(got[1], want[1])
@@ -128,8 +139,7 @@ class TestRealUnitsDifferential:
             for name in ("ISP", "G-MISP+SP"):
                 part = PARTITIONER_REGISTRY[name]().partition(units, 8)
                 got = comm_cost_terms(
-                    i, j, axis, part.assignment, shapes, units.loads,
-                    8, cost.ghost_width, cost.bytes_per_comm_unit,
+                    part.cut(), 8, cost.ghost_width, cost.bytes_per_comm_unit,
                 )
                 want = ref_costmodel.comm_cost_terms(
                     i, j, axis, part.assignment, shapes, units.loads,
@@ -178,12 +188,14 @@ def test_golden_costmodel_corpus():
             part = PARTITIONER_REGISTRY[name]().partition(
                 units, doc["num_procs"]
             )
-            args = (
-                i, j, axis, part.assignment, shapes, units.loads,
-                doc["num_procs"], cost.ghost_width, cost.bytes_per_comm_unit,
-            )
-            for impl in (comm_cost_terms, ref_costmodel.comm_cost_terms):
-                comm_bytes, neighbor_count, ghost_work = impl(*args)
+            widths = (cost.ghost_width, cost.bytes_per_comm_unit)
+            for comm_bytes, neighbor_count, ghost_work in (
+                comm_cost_terms(part.cut(), doc["num_procs"], *widths),
+                ref_costmodel.comm_cost_terms(
+                    i, j, axis, part.assignment, shapes, units.loads,
+                    doc["num_procs"], *widths,
+                ),
+            ):
                 assert digest(comm_bytes) == want["comm_bytes_digest"], (
                     f"{case_name}/{name} comm bytes drifted"
                 )

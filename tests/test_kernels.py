@@ -49,6 +49,7 @@ ref_gmisp = _load_reference("ref_gmisp")
 ref_pbd = _load_reference("ref_pbd")
 ref_workload = _load_reference("ref_workload")
 ref_metrics = _load_reference("ref_metrics")
+ref_signals = _load_reference("ref_signals")
 
 
 def digest(arr: np.ndarray) -> str:
@@ -243,13 +244,34 @@ def _partitioned_cases(hierarchies):
                 yield cls().partition(units, 7)
 
 
+def _cut_cases():
+    """Registry partitions at granularity 1, 2 and 3 (clipped edge units)
+    on both curves, plus a single owner and a checkerboard per lattice."""
+    hierarchy = _hierarchy_corpus()[0]
+    for g in (1, 2, 3):
+        for curve in ("hilbert", "morton"):
+            units = build_units(hierarchy, granularity=g, curve=curve)
+            for cls in PARTITIONER_REGISTRY.values():
+                yield cls().partition(units, 7)
+            x, y, z = np.indices(units.grid_shape)
+            for name, lat in (
+                ("single", np.zeros(units.grid_shape, dtype=int)),
+                ("checkerboard", (x + y + z) % 2),
+            ):
+                yield Partition(
+                    units=units, num_procs=2,
+                    assignment=lat.ravel()[units.lattice_index],
+                    partitioner_name=name,
+                )
+
+
 def _assert_metrics_match(part: Partition) -> None:
     units = part.units
     i, j, axis = units.adjacency_arrays()
     assert part.rect_fragments() == ref_metrics.rect_fragments(
         part.owner_lattice()
     )
-    assert _comm_volume(part) == ref_metrics.comm_volume(
+    assert _comm_volume(part.cut()) == ref_metrics.comm_volume(
         i, j, axis, part.assignment, units.unit_shapes(), units.loads
     )
 
@@ -280,6 +302,36 @@ class TestMetricDifferential:
         for part in _partitioned_cases(_hierarchy_corpus()):
             _assert_metrics_match(part)
 
+    def test_lattice_cut_is_the_owner_mask(self):
+        """The lattice-found cut pairs are the all-pairs owner mask."""
+        checked = set()
+        for part in _cut_cases():
+            i, j, _ = part.units.adjacency_arrays()
+            want = np.flatnonzero(part.assignment[i] != part.assignment[j])
+            cut = part.cut()
+            np.testing.assert_array_equal(cut.pairs, want)
+            np.testing.assert_array_equal(cut.owner_i, part.assignment[i[want]])
+            np.testing.assert_array_equal(cut.owner_j, part.assignment[j[want]])
+            checked.add(part.partitioner_name)
+            if part.partitioner_name == "single":
+                assert cut.pairs.size == 0
+        assert {"single", "checkerboard"} <= checked
+        assert set(PARTITIONER_REGISTRY) <= checked
+
+    def test_assignment_is_read_only(self):
+        part = next(_partitioned_cases(_hierarchy_corpus()[:1]))
+        with pytest.raises(ValueError):
+            part.assignment[0] = 1
+        for held in (part.owner_lattice(), part.proc_loads(), part.cut().face):
+            with pytest.raises(ValueError):
+                held[...] = 0
+        # the caller's writable array is copied, not frozen in place
+        mine = part.assignment.copy()
+        again = Partition(units=part.units, num_procs=part.num_procs,
+                          assignment=mine, partitioner_name="copy")
+        mine[:] = 0
+        np.testing.assert_array_equal(again.assignment, part.assignment)
+
     def test_unit_shapes_are_clipped_boxes(self):
         for domain, g, curve in LATTICES:
             units = build_units(
@@ -290,7 +342,6 @@ class TestMetricDifferential:
                 [units.unit_box(k).shape for k in range(len(units))]
             )
             np.testing.assert_array_equal(units.unit_shapes(), boxes)
-            np.testing.assert_array_equal(units.unit_cells(), boxes.prod(axis=1))
 
     def test_refined_mask_matches_oracle(self):
         hierarchies = _hierarchy_corpus() + [_clipped_hierarchy()]
@@ -301,6 +352,99 @@ class TestMetricDifferential:
         # the clipped corpus really clips: some cells set, not all
         mask = _clipped_hierarchy().refined_mask()
         assert 0 < mask.sum() < mask.size
+
+
+# -- octant classifier signals -------------------------------------------------
+
+
+def _retuned(hierarchy: GridHierarchy, rng: np.random.Generator):
+    """Copy of ``hierarchy`` with random per-patch ``load_per_cell``.
+
+    Regridded patches all carry 1.0; random loads make the float sums
+    order-sensitive, so a changed accumulation shows up.
+    """
+    levels = [
+        Level(index=lvl.index, ratio=lvl.ratio, patches=[
+            Patch(p.box, level=p.level, patch_id=p.patch_id,
+                  load_per_cell=float(rng.random() * 10.0 ** rng.integers(-3, 4)))
+            for p in lvl.patches
+        ])
+        for lvl in hierarchy.levels
+    ]
+    return GridHierarchy(domain=hierarchy.domain, levels=levels)
+
+
+def _empty_refined_hierarchy() -> GridHierarchy:
+    """Two refined levels, neither holding a patch."""
+    domain = Box((0, 0, 0), (8, 6, 4))
+    return GridHierarchy(domain=domain, levels=[
+        Level(index=0, ratio=1, patches=[Patch(domain, level=0, patch_id=0)]),
+        Level(index=1, ratio=2),
+        Level(index=2, ratio=4),
+    ])
+
+
+def _ratio3_hierarchy() -> GridHierarchy:
+    """Refinement ratio 3: centroid scaling is inexact in binary."""
+    domain = Box((0, 0, 0), (10, 8, 6))
+    return GridHierarchy(domain=domain, levels=[
+        Level(index=0, ratio=1, patches=[Patch(domain, level=0, patch_id=0)]),
+        Level(index=1, ratio=3, patches=[
+            Patch(Box((1, 2, 0), (8, 9, 5)), level=1, patch_id=1),
+            Patch(Box((13, 4, 7), (29, 23, 17)), level=1, patch_id=2),
+        ]),
+        Level(index=2, ratio=3, patches=[
+            Patch(Box((40, 14, 22), (61, 50, 47)), level=2, patch_id=3),
+        ]),
+    ])
+
+
+def _signal_corpus():
+    rng = np.random.default_rng(2718)
+    hierarchies = _hierarchy_corpus() + [
+        _clipped_hierarchy(),
+        _empty_refined_hierarchy(),
+        _ratio3_hierarchy(),
+        GridHierarchy(domain=Box((0, 0, 0), (5, 5, 5))),  # base only
+    ]
+    hierarchies += [GridHierarchy.from_dict(
+        json.loads(path.read_text())["hierarchy"]) for path in GOLDEN]
+    return hierarchies + [_retuned(h, rng) for h in hierarchies]
+
+
+def _same(got, want) -> bool:
+    """Exact equality, type included (an int 0 is not a float 0.0)."""
+    return type(got) is type(want) and got == want
+
+
+class TestSignalDifferential:
+    def test_level_sums_match_oracle(self):
+        for hierarchy in _signal_corpus():
+            for lvl in hierarchy.levels:
+                assert _same(lvl.num_cells, ref_signals.level_num_cells(lvl))
+                assert _same(lvl.load, ref_signals.level_load(lvl))
+
+    def test_hierarchy_signals_match_oracle(self):
+        for hierarchy in _signal_corpus():
+            for name in ("load_per_coarse_step", "adaptation_scatter",
+                         "comm_to_comp_ratio"):
+                got = getattr(hierarchy, name)()
+                want = getattr(ref_signals, name)(hierarchy)
+                assert _same(got, want), (name, got, want)
+
+    def test_added_patch_updates_signals(self):
+        hierarchy = _retuned(_hierarchy_corpus()[0], np.random.default_rng(5))
+        before = hierarchy.comm_to_comp_ratio()
+        fine = hierarchy.levels[1]
+        fine.add(Patch(Box((60, 30, 30), (62, 32, 32)), level=1,
+                       patch_id=999, load_per_cell=3.5))
+        after = hierarchy.comm_to_comp_ratio()
+        assert after != before
+        assert _same(after, ref_signals.comm_to_comp_ratio(hierarchy))
+        assert _same(fine.load, ref_signals.level_load(fine))
+        np.testing.assert_array_equal(
+            hierarchy.refined_mask(), ref_metrics.refined_mask(hierarchy)
+        )
 
 
 # -- golden corpus ------------------------------------------------------------

@@ -1,6 +1,6 @@
 """The process-wide unit-geometry memo of ``repro.partitioners.units``.
 
-Adjacency pairs, unit shapes and cell counts are memoized per
+Adjacency pairs and unit shapes are memoized per
 ``(domain, granularity, curve)``; the memo is bounded by a byte budget
 and shared by the server's worker threads.
 """
@@ -45,7 +45,7 @@ def fresh_memo():
     clear_adjacency_memo()
 
 
-def test_one_entry_serves_adjacency_shapes_and_cells():
+def test_one_entry_serves_adjacency_and_shapes():
     u = _units(8)
     i, j, axis = u.adjacency_arrays()
     assert u.unit_shapes() is units_mod._GEOMETRY_MEMO[
@@ -55,7 +55,7 @@ def test_one_entry_serves_adjacency_shapes_and_cells():
     # a second units object over the same lattice shares the entry
     v = _units(8)
     assert v.adjacency_arrays()[0] is i
-    for arr in (i, j, axis, u.unit_shapes(), u.unit_cells()):
+    for arr in (i, j, axis, u.unit_shapes()):
         assert not arr.flags.writeable
     clear_adjacency_memo()
     assert not units_mod._GEOMETRY_MEMO
@@ -76,7 +76,7 @@ def test_memo_stays_within_byte_budget(monkeypatch):
     monkeypatch.setattr(units_mod, "_GEOMETRY_MEMO_BYTES", 100)
     clear_adjacency_memo()
     big = _units(30)
-    assert big.unit_cells().sum() == 30 * 3 * 2
+    assert big.unit_shapes().prod(axis=1).sum() == 30 * 3 * 2
     assert not units_mod._GEOMETRY_MEMO
 
 
@@ -98,7 +98,7 @@ def test_concurrent_workers_share_the_memo(monkeypatch):
                 nx, curve = lattices[(k + offset) % len(lattices)]
                 u = _units(nx, curve=curve)
                 i, j, axis = u.adjacency_arrays()
-                assert u.unit_cells().sum() == nx * 3 * 2
+                assert u.unit_shapes().prod(axis=1).sum() == nx * 3 * 2
                 assert i.size == (nx - 1) * 6 + nx * 2 * 2 + nx * 3
         except BaseException as exc:  # pragma: no cover - failure path
             errors.append(exc)
