@@ -15,7 +15,8 @@ Two jobs:
    gate leaf ``live_telemetry.overhead_ok`` asserts the ratio stays
    within a generous bound; the raw timings live under ``wall_clock``.
 3. Write a ``BENCH_obs.json`` perf snapshot — per-phase simulated
-   seconds with tail quantiles, timeline summary, anomaly alerts,
+   seconds, the timeline summary (per-series tail quantiles over the
+   simulator's per-interval records), anomaly alerts,
    partitioner switching, message counters and sweep task-seconds
    quantiles — the machine-readable baseline the ``python -m repro
    benchdiff`` CI gate compares against.  Simulated-seconds sections are
@@ -118,15 +119,6 @@ def _timed_adaptive_run():
     return time.perf_counter() - t0
 
 
-def _histograms_by_phase(doc: dict, name: str) -> dict:
-    rows = doc["metrics"]["histograms"].get(name, [])
-    out = {}
-    for row in rows:
-        key = row["labels"].get("phase", "all")
-        out[key] = row["value"]
-    return out
-
-
 def test_obs_overhead_and_snapshot(tmp_path):
     assert not obs.enabled()
     null_ns = _disabled_ns_per_call()
@@ -156,7 +148,6 @@ def test_obs_overhead_and_snapshot(tmp_path):
 
     live = _live_telemetry_overhead()
 
-    phase_hists = _histograms_by_phase(doc, "execsim.phase_seconds")
     snapshot = {
         "bench": "obs_snapshot",
         "scenario": doc["scenario"],
@@ -179,10 +170,6 @@ def test_obs_overhead_and_snapshot(tmp_path):
             "overhead_ok": 1.0 if live["ok"] else 0.0,
         },
         "phases": doc["phases"],
-        "phase_histograms": phase_hists,
-        "imbalance_pct_histogram": _histograms_by_phase(
-            doc, "execsim.imbalance_pct"
-        ).get("all", {}),
         "timeline": doc["timeline"],
         "obs": {"alerts": doc["obs"]["alerts"]},
         "partitioning": {
@@ -207,9 +194,9 @@ def test_obs_overhead_and_snapshot(tmp_path):
     assert doc["phases"]["compute"] > 0.0
     assert "switches" in doc["partitioning"]
     assert doc["message_center"]["sends"] >= 0.0
-    # Tail quantiles: per-phase simulated seconds and sweep task wall
+    # Tail quantiles: per-interval timeline series and sweep task wall
     # seconds both report p50/p95/p99.
-    for summary in phase_hists.values():
+    for summary in doc["timeline"]["series"].values():
         assert {"p50", "p95", "p99"} <= set(summary)
     assert task_seconds["count"] == len(SWEEP_SCENARIOS)
     assert task_seconds["p50"] <= task_seconds["p95"] <= task_seconds["p99"]

@@ -22,7 +22,7 @@ from repro.amr.trace import Snapshot
 from repro.apps.base import SyntheticApplication
 from repro.core.meta_partitioner import MetaPartitioner
 from repro.execsim.costmodel import CostModel
-from repro.execsim.simulator import ExecutionSimulator, RunResult, StepRecord
+from repro.execsim.simulator import ExecutionSimulator, RunResult
 from repro.gridsys.cluster import Cluster
 from repro.partitioners.base import Partition
 from repro.partitioners.metrics import evaluate_partition
@@ -161,38 +161,15 @@ class OnlineAdaptiveRuntime:
             metrics = evaluate_partition(new_partition, partition)
             owner_lattice = new_partition.owner_lattice()
 
-            coarse_steps = min(
-                policy.regrid_interval, num_coarse_steps - step
+            record = self._sim.commit_interval(
+                result, snapshot, new_partition, metrics,
+                label=decision.label, octant=octant.value,
+                coarse_steps=min(
+                    policy.regrid_interval, num_coarse_steps - step
+                ),
+                start_time=sim_time, repartitioned=must_partition,
             )
-            comp_t, comm_t, ghost = self._sim._interval_cost(
-                new_partition, hierarchy, coarse_steps, sim_time
-            )
-            regrid_t = (
-                self._sim._regrid_cost(metrics, new_partition, snapshot)
-                if must_partition
-                else 0.0
-            )
-            sim_time += comp_t + comm_t + regrid_t
-            result.proc_work += new_partition.proc_loads() * coarse_steps
-            result.records.append(
-                StepRecord(
-                    step=step,
-                    label=decision.label,
-                    octant=octant.value,
-                    coarse_steps=coarse_steps,
-                    compute_time=comp_t,
-                    comm_time=comm_t,
-                    regrid_time=regrid_t,
-                    imbalance_pct=max_load_imbalance_pct(
-                        new_partition.proc_loads()
-                    ),
-                    metrics=metrics,
-                )
-            )
-            result.useful_work += (
-                hierarchy.load_per_coarse_step() * coarse_steps
-            )
-            result.ghost_work += ghost * coarse_steps
+            sim_time += record.total_time
             partition = new_partition
 
         return OnlineRunReport(

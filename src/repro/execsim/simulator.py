@@ -36,7 +36,6 @@ import numpy as np
 from repro import obs
 from repro.amr.trace import AdaptationTrace
 from repro.config import SimulatorOptions
-from repro.obs.timeline import StepSample
 from repro.execsim.costmodel import CostModel, per_step_comm_times
 from repro.execsim.reuse import UnitsReuseCache
 from repro.execsim.selector import PartitionerSelector, SelectorDecision
@@ -80,9 +79,32 @@ class StepRecord:
     #: processors owning work in the interval's committed partition
     #: (populated by fault-tolerant replay; empty otherwise)
     owners: tuple[int, ...] = ()
-    #: processors the detector considered live when the interval committed
-    #: (populated by fault-tolerant replay; empty otherwise)
+    #: processors live when the interval committed: the detector's view
+    #: under fault-tolerant replay, every processor otherwise
     live_procs: tuple[int, ...] = ()
+    #: simulated seconds at the interval's start
+    start_time: float = 0.0
+    #: the partitioner's share of ``regrid_time``
+    partition_time: float = 0.0
+    #: relative error (percent) of the last-value forecast of per-coarse-step
+    #: cost; None for a run's first interval, which has no forecast
+    forecast_error_pct: float | None = None
+
+    @property
+    def total_time(self) -> float:
+        """Simulated seconds charged to the interval, all phases."""
+        return (
+            self.compute_time
+            + self.comm_time
+            + self.regrid_time
+            + self.checkpoint_time
+            + self.recovery_time
+        )
+
+    @property
+    def step_cost(self) -> float:
+        """Simulated seconds charged per coarse step."""
+        return self.total_time / self.coarse_steps if self.coarse_steps else 0.0
 
 
 @dataclass(slots=True)
@@ -98,16 +120,7 @@ class RunResult:
     @property
     def total_runtime(self) -> float:
         """End-to-end execution time in simulated seconds."""
-        return float(
-            sum(
-                r.compute_time
-                + r.comm_time
-                + r.regrid_time
-                + r.checkpoint_time
-                + r.recovery_time
-                for r in self.records
-            )
-        )
+        return float(sum(r.total_time for r in self.records))
 
     @property
     def mean_imbalance_pct(self) -> float:
@@ -247,6 +260,7 @@ class ExecutionSimulator:
             ft = FaultTolerance()
         self.fault_tolerance = ft
         self.incremental = opts.incremental
+        self._all_procs = tuple(range(self.num_procs))
 
     def _resolve_fault_tolerance(self) -> FaultTolerance | None:
         if self.fault_tolerance is False:
@@ -307,7 +321,6 @@ class ExecutionSimulator:
         result = RunResult(proc_work=np.zeros(self.num_procs))
         prev_partition: Partition | None = None
         sim_time = 0.0
-        prev_step_cost: float | None = None
         reuse_cache = UnitsReuseCache() if self.incremental else None
 
         with obs.span("execsim.run", snapshots=len(trace)):
@@ -372,6 +385,14 @@ class ExecutionSimulator:
                         snap.step, sim_time, snap.hierarchy
                     )
 
+                tl = obs.get_timeline()
+                if checkpoint_t > 0.0:
+                    tl.event(
+                        "checkpoint", t=interval_t0, step=snap.step,
+                        seconds=checkpoint_t,
+                    )
+                costs = None
+                recovery_t = 0.0
                 recs: list[RecoveryRecord] = []
                 if resilient:
                     (
@@ -394,58 +415,9 @@ class ExecutionSimulator:
                         ckpt_store,
                         ft,
                     )
+                    costs = (comp_t, comm_t, ghost)
                     recovery_t += pre_stall
                     result.recovery_events.extend(recs)
-                else:
-                    comp_t, comm_t, ghost = self._interval_cost(
-                        partition, snap.hierarchy, coarse_steps, sim_time
-                    )
-                    recovery_t = 0.0
-                regrid_t = self._regrid_cost(metrics, partition, snap)
-                obs.counter("execsim.sim_seconds", phase="checkpoint").inc(
-                    checkpoint_t
-                )
-                obs.counter("execsim.sim_seconds", phase="recovery").inc(
-                    recovery_t
-                )
-                result.proc_work += partition.proc_loads() * coarse_steps
-                sim_time += comp_t + comm_t + regrid_t + checkpoint_t + recovery_t
-
-                imbalance = max_load_imbalance_pct(partition.proc_loads())
-                obs.counter("execsim.intervals", partitioner=label).inc()
-                obs.counter("execsim.coarse_steps").inc(coarse_steps)
-                obs.histogram("execsim.imbalance_pct").observe(imbalance)
-                for phase, secs in (
-                    ("compute", comp_t),
-                    ("comm", comm_t),
-                    ("regrid", regrid_t),
-                    ("checkpoint", checkpoint_t),
-                    ("recovery", recovery_t),
-                ):
-                    obs.histogram(
-                        "execsim.phase_seconds", phase=phase
-                    ).observe(secs)
-
-                # Last-value forecast of per-coarse-step cost: the simplest
-                # predictor the NWS ensemble carries, evaluated against the
-                # interval that just committed.
-                step_cost = (
-                    comp_t + comm_t + regrid_t + checkpoint_t + recovery_t
-                ) / coarse_steps
-                forecast_error: float | None = None
-                if prev_step_cost is not None and step_cost > 0:
-                    forecast_error = (
-                        100.0 * abs(prev_step_cost - step_cost) / step_cost
-                    )
-                prev_step_cost = step_cost
-
-                tl = obs.get_timeline()
-                if tl.enabled:
-                    if checkpoint_t > 0.0:
-                        tl.event(
-                            "checkpoint", t=interval_t0, step=snap.step,
-                            seconds=checkpoint_t,
-                        )
                     for rec in recs:
                         tl.event(
                             "recovery", t=rec.t_detected, step=snap.step,
@@ -453,55 +425,96 @@ class ExecutionSimulator:
                             detection_lag_s=rec.detection_lag,
                             steps_lost=rec.steps_lost,
                         )
-                    tl.record(
-                        StepSample(
-                            step=snap.step,
-                            t=interval_t0,
-                            coarse_steps=coarse_steps,
-                            partitioner=label,
-                            octant=decision.octant,
-                            compute_s=comp_t,
-                            comm_s=comm_t,
-                            regrid_s=regrid_t,
-                            checkpoint_s=checkpoint_t,
-                            recovery_s=recovery_t,
-                            imbalance_pct=imbalance,
-                            forecast_error_pct=forecast_error,
-                            recoveries=len(recs),
-                            live_procs=(
-                                len(live) if resilient else self.num_procs
-                            ),
-                        )
-                    )
-
-                result.records.append(
-                    StepRecord(
-                        step=snap.step,
-                        label=label,
-                        octant=decision.octant,
-                        coarse_steps=coarse_steps,
-                        compute_time=comp_t,
-                        comm_time=comm_t,
-                        regrid_time=regrid_t,
-                        imbalance_pct=imbalance,
-                        metrics=metrics,
-                        checkpoint_time=checkpoint_t,
-                        recovery_time=recovery_t,
-                        recoveries=len(recs),
-                        owners=tuple(
-                            int(p) for p in np.unique(partition.assignment)
-                        )
-                        if resilient
-                        else (),
-                        live_procs=tuple(live) if resilient else (),
-                    )
+                record = self.commit_interval(
+                    result, snap, partition, metrics,
+                    label=label, octant=decision.octant,
+                    coarse_steps=coarse_steps, start_time=interval_t0,
+                    costs=costs, checkpoint_time=checkpoint_t,
+                    recovery_time=recovery_t, recoveries=len(recs), live=live,
                 )
-                result.useful_work += (
-                    snap.hierarchy.load_per_coarse_step() * coarse_steps
-                )
-                result.ghost_work += ghost * coarse_steps
+                sim_time += record.total_time
                 prev_partition = partition
         return result
+
+    def commit_interval(
+        self,
+        result: RunResult,
+        snap,
+        partition: Partition,
+        metrics: PACMetrics,
+        *,
+        label: str,
+        octant: str | None,
+        coarse_steps: int,
+        start_time: float,
+        repartitioned: bool = True,
+        costs: tuple[float, float, float] | None = None,
+        checkpoint_time: float = 0.0,
+        recovery_time: float = 0.0,
+        recoveries: int = 0,
+        live: list[int] | None = None,
+    ) -> StepRecord:
+        """Account one regrid interval and fold it into ``result``.
+
+        The one place a :class:`StepRecord` is built: it appends the record,
+        adds the interval's per-processor, useful and ghost work, and hands
+        the same record to the current obs timeline.  ``costs`` is the
+        ``(compute, comm, ghost)`` triple the fault-tolerant path already
+        integrated; ``None`` integrates the interval from ``start_time``.
+        ``repartitioned=False`` (a carried-forward decomposition) charges
+        no regrid cost.  ``live`` is the detector's live set under
+        fault-tolerant replay.
+        """
+        if costs is None:
+            costs = self._interval_cost(
+                partition, snap.hierarchy, coarse_steps, start_time
+            )
+        comp_t, comm_t, ghost = costs
+        partition_t, regrid_t = (
+            self._regrid_cost(metrics, partition, snap)
+            if repartitioned
+            else (0.0, 0.0)
+        )
+        loads = partition.proc_loads()
+        # Last-value forecast of per-coarse-step cost (the simplest
+        # predictor the NWS ensemble carries), scored against this interval.
+        step_cost = (
+            comp_t + comm_t + regrid_t + checkpoint_time + recovery_time
+        ) / coarse_steps
+        prev = result.records[-1] if result.records else None
+        record = StepRecord(
+            step=snap.step,
+            label=label,
+            octant=octant,
+            coarse_steps=coarse_steps,
+            compute_time=comp_t,
+            comm_time=comm_t,
+            regrid_time=regrid_t,
+            imbalance_pct=max_load_imbalance_pct(loads),
+            metrics=metrics,
+            checkpoint_time=checkpoint_time,
+            recovery_time=recovery_time,
+            recoveries=recoveries,
+            owners=(
+                tuple(int(p) for p in np.unique(partition.assignment))
+                if live is not None
+                else ()
+            ),
+            live_procs=tuple(live) if live is not None else self._all_procs,
+            start_time=start_time,
+            partition_time=partition_t,
+            forecast_error_pct=(
+                100.0 * abs(prev.step_cost - step_cost) / step_cost
+                if prev is not None and step_cost > 0
+                else None
+            ),
+        )
+        result.records.append(record)
+        result.proc_work += loads * coarse_steps
+        result.useful_work += snap.hierarchy.load_per_coarse_step() * coarse_steps
+        result.ghost_work += ghost * coarse_steps
+        obs.get_timeline().record(record)
+        return record
 
     # -- partitioning over survivors ---------------------------------------------------
 
@@ -631,12 +644,9 @@ class ExecutionSimulator:
     ) -> tuple[float, float, float]:
         """(compute seconds, comm seconds, ghost work per coarse step)."""
         with obs.span("interval_cost", coarse_steps=coarse_steps):
-            comp, comm, ghost = self._interval_cost_inner(
+            return self._interval_cost_inner(
                 partition, hierarchy, coarse_steps, t0
             )
-        obs.counter("execsim.sim_seconds", phase="compute").inc(comp)
-        obs.counter("execsim.sim_seconds", phase="comm").inc(comm)
-        return comp, comm, ghost
 
     def _interval_cost_inner(
         self,
@@ -818,7 +828,7 @@ class ExecutionSimulator:
                         self._degraded_weights(detector, t),
                     )
                     repart_metrics = evaluate_partition(partition, prev)
-                    repart_s = self._regrid_cost(
+                    _, repart_s = self._regrid_cost(
                         repart_metrics, partition, snap
                     )
                     t += repart_s
@@ -893,8 +903,6 @@ class ExecutionSimulator:
 
         # Transient stalls of the committed attempt are overhead, not work.
         recovery_seconds += attempt_stall
-        obs.counter("execsim.sim_seconds", phase="compute").inc(attempt_comp)
-        obs.counter("execsim.sim_seconds", phase="comm").inc(attempt_comm)
         return (
             attempt_comp,
             attempt_comm,
@@ -905,7 +913,10 @@ class ExecutionSimulator:
             live,
         )
 
-    def _regrid_cost(self, metrics: PACMetrics, partition: Partition, snap) -> float:
+    def _regrid_cost(
+        self, metrics: PACMetrics, partition: Partition, snap
+    ) -> tuple[float, float]:
+        """(partitioner seconds, total regrid seconds including them)."""
         cost = self.cost
         bw = self.cluster.link.bandwidth
         migration_t = (
@@ -922,8 +933,4 @@ class ExecutionSimulator:
                 snap.hierarchy.num_patches * cost.seconds_per_patch_shuffle
             )
         partition_t = metrics.partition_time * self.partition_time_scale
-        obs.counter("execsim.sim_seconds", phase="partition").inc(partition_t)
-        obs.counter("execsim.sim_seconds", phase="regrid").inc(
-            migration_t + overhead_t
-        )
-        return partition_t + migration_t + overhead_t
+        return partition_t, partition_t + migration_t + overhead_t

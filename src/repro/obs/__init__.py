@@ -16,7 +16,8 @@ Usage::
 
     with obs.collect() as window:        # enable for a scoped window
         report = runtime.run_adaptive(trace)
-    window.registry.counter_value("execsim.intervals")
+    window.timeline.samples          # one StepRecord per regrid interval
+    window.registry.counter_value("meta.switches")
     window.tracer.totals_by_path()
     window.timeline.summary()
 
@@ -59,7 +60,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     NullRegistry,
 )
-from repro.obs.timeline import NullTimeline, StepSample, TimelineRecorder
+from repro.obs.timeline import NullTimeline, TimelineRecorder
 from repro.obs.tracing import _NULL_SPAN, FlowRecord, NullTracer, SpanRecord, Tracer
 
 __all__ = [
@@ -72,7 +73,6 @@ __all__ = [
     "NullTracer",
     "SpanRecord",
     "FlowRecord",
-    "StepSample",
     "TimelineRecorder",
     "NullTimeline",
     "Alert",

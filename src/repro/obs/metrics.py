@@ -19,6 +19,7 @@ import math
 import threading
 from bisect import bisect_left
 from collections import deque
+from collections.abc import Sequence
 
 __all__ = [
     "Counter",
@@ -28,7 +29,21 @@ __all__ = [
     "NullRegistry",
     "DEFAULT_BUCKET_BOUNDS",
     "exponential_bucket_bounds",
+    "nearest_rank",
 ]
+
+
+def nearest_rank(ordered: Sequence[float], q: float) -> float:
+    """Nearest-rank ``q``-quantile of an ascending sequence (0.0 when empty).
+
+    The smallest sample that covers a ``q`` fraction of the samples: the
+    ``ceil(q * n)``-th, counting from one.  The one rank rule for exact
+    quantiles (timeline summaries, windowed histograms); a cumulative
+    histogram's bucketed quantile never falls below it.
+    """
+    if not ordered:
+        return 0.0
+    return ordered[max(math.ceil(q * len(ordered)), 1) - 1]
 
 
 def exponential_bucket_bounds(
@@ -191,12 +206,6 @@ class Histogram:
         cumulative)."""
         return list(self._recent) if self._recent is not None else []
 
-    def _recent_quantile(self, samples: list[float], q: float) -> float:
-        ordered = sorted(samples)
-        # nearest-rank: the smallest sample covering the q-fraction
-        rank = max(math.ceil(q * len(ordered)), 1) - 1
-        return ordered[rank]
-
     def quantile(self, q: float) -> float:
         """Quantile estimate (0.0 when empty).
 
@@ -207,8 +216,7 @@ class Histogram:
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
         if self._recent is not None:
-            samples = list(self._recent)
-            return self._recent_quantile(samples, q) if samples else 0.0
+            return nearest_rank(sorted(self._recent), q)
         if not self.count:
             return 0.0
         target = q * self.count
@@ -230,7 +238,7 @@ class Histogram:
         cumulative mode is unchanged.
         """
         if self._recent is not None:
-            samples = list(self._recent)
+            samples = sorted(self._recent)
             if not samples:
                 return {"count": 0, "sum": 0.0, "min": 0.0, "max": 0.0,
                         "mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0,
@@ -239,12 +247,12 @@ class Histogram:
             return {
                 "count": len(samples),
                 "sum": math.fsum(samples),
-                "min": min(samples),
-                "max": max(samples),
+                "min": samples[0],
+                "max": samples[-1],
                 "mean": math.fsum(samples) / len(samples),
-                "p50": self._recent_quantile(samples, 0.50),
-                "p95": self._recent_quantile(samples, 0.95),
-                "p99": self._recent_quantile(samples, 0.99),
+                "p50": nearest_rank(samples, 0.50),
+                "p95": nearest_rank(samples, 0.95),
+                "p99": nearest_rank(samples, 0.99),
                 "lifetime_count": self.count,
                 "lifetime_sum": self.total,
             }

@@ -3,12 +3,13 @@
 :func:`collect_run_report` drives the quickstart scenario (reduced RM3D,
 adaptive vs static partitioning, plus a short event-driven online run so
 the CATALINA message center sees real traffic) inside an observability
-collection window, then folds the registry and tracer into a
-:class:`RunReport`: per-phase simulated seconds (compute / comm / regrid /
-partition), partitioner-switch counts, message-center counters, monitoring
-counters, and a wall-clock span profile.  ``python -m repro report``
-renders it; ``--json`` exports the same document for trend tracking
-(every future perf PR has a baseline to beat).
+collection window, then folds the window into a :class:`RunReport`:
+per-phase simulated seconds (compute / comm / regrid / partition /
+checkpoint / recovery) summed over the timeline's per-interval records,
+partitioner-switch counts, message-center counters, monitoring counters,
+and a wall-clock span profile.  ``python -m repro report`` renders it;
+``--json`` exports the same document for trend tracking (every future
+perf PR has a baseline to beat).
 """
 
 from __future__ import annotations
@@ -20,8 +21,17 @@ from repro.obs.anomaly import detect_alerts
 
 __all__ = ["RunReport", "collect_run_report", "quickstart_scenario"]
 
-#: simulated-seconds phases recorded by the execution simulator
-PHASES = ("compute", "comm", "regrid", "partition", "checkpoint", "recovery")
+#: simulated-seconds phase -> its seconds in one interval's StepRecord
+#: (``regrid`` is migration plus bookkeeping; ``partition`` the rest of
+#: ``regrid_time``)
+PHASES = {
+    "compute": lambda r: r.compute_time,
+    "comm": lambda r: r.comm_time,
+    "regrid": lambda r: r.regrid_time - r.partition_time,
+    "partition": lambda r: r.partition_time,
+    "checkpoint": lambda r: r.checkpoint_time,
+    "recovery": lambda r: r.recovery_time,
+}
 
 
 @dataclass(slots=True)
@@ -208,6 +218,8 @@ def collect_run_report(
     reg = window.registry
     tracer = window.tracer
     snap = reg.snapshot()
+    records = window.timeline.samples
+    timeline = window.timeline.summary()
 
     def by_label(name: str, label: str) -> dict[str, float]:
         rows = snap["counters"].get(name, [])
@@ -235,8 +247,8 @@ def collect_run_report(
             ),
         },
         phases={
-            phase: reg.counter_value("execsim.sim_seconds", phase=phase)
-            for phase in PHASES
+            phase: sum(share(r) for r in records)
+            for phase, share in PHASES.items()
         },
         wall=wall,
         partitioning={
@@ -250,8 +262,8 @@ def collect_run_report(
             ),
             "hysteresis_holds": reg.counter_value("meta.hysteresis_holds"),
             "usage": adaptive_report.adaptive.partitioner_usage(),
-            "intervals": reg.sum_counters("execsim.intervals"),
-            "coarse_steps": reg.counter_value("execsim.coarse_steps"),
+            "intervals": timeline["num_samples"],
+            "coarse_steps": timeline["coarse_steps"],
         },
         message_center={
             "sends": reg.counter_value("mc.sends"),
@@ -280,7 +292,7 @@ def collect_run_report(
             "mean_imbalance_pct": adaptive_report.adaptive.mean_imbalance_pct,
         },
         metrics=snap,
-        timeline=window.timeline.summary(),
+        timeline=timeline,
         alerts=[
             a.as_dict() for a in detect_alerts(window.timeline)
         ],

@@ -1,24 +1,26 @@
-"""Timeline recorder: one structured sample per regrid interval.
+"""Timeline recorder: the per-interval records of a run, plus events.
 
 Pragma's control loop reacts to *trajectories* — the monitor/forecaster
 feeds the policy base every regrid step — so the reproduction's
 observability must keep per-step series, not just end-of-run aggregates.
-The :class:`TimelineRecorder` collects one :class:`StepSample` per regrid
-interval from the execution simulator (phase seconds, imbalance, octant,
-chosen partitioner, forecast error, live processors, recovery counts) and
-a stream of irregular :meth:`events <TimelineRecorder.event>` from the
-meta-partitioner (switches), the resilience layer (checkpoints,
-recoveries) and the resource monitor (forecast error sweeps).
+The :class:`TimelineRecorder` holds the execution simulator's own
+:class:`~repro.execsim.simulator.StepRecord` for every committed regrid
+interval — the same object the run's
+:class:`~repro.execsim.simulator.RunResult` keeps, handed over by
+``ExecutionSimulator.commit_interval`` — and a stream of irregular
+:meth:`events <TimelineRecorder.event>` from the meta-partitioner
+(switches), the resilience layer (checkpoints, recoveries) and the
+resource monitor (forecast error sweeps).
 
 The recorder snapshots to JSONL (one ``{"type": "sample"|"event"}`` line
-each), summarizes itself for run reports — per-series min/mean/max and
-exact p50/p95/p99 — and exposes plain per-field :meth:`series
+each; :func:`sample_row` names a record's fields for the ``sample``
+lines), summarizes itself for run reports — per-series min/mean/max and
+nearest-rank p50/p95/p99 — and exposes plain per-field :meth:`series
 <TimelineRecorder.series>` for the EWMA anomaly detector
 (:mod:`repro.obs.anomaly`).
 
-A :class:`NullTimeline` keeps the disabled path free: instrumented call
-sites check ``timeline.enabled`` before building samples, so a run with
-observability off allocates nothing.
+A :class:`NullTimeline` keeps the disabled path free: handing it a
+record is one no-op call.
 """
 
 from __future__ import annotations
@@ -26,100 +28,57 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-__all__ = ["StepSample", "TimelineRecorder", "NullTimeline"]
+from repro.obs.metrics import nearest_rank
 
-#: StepSample fields exposed as numeric series (summary + anomaly scans)
-SERIES_FIELDS = (
-    "compute_s",
-    "comm_s",
-    "regrid_s",
-    "checkpoint_s",
-    "recovery_s",
-    "imbalance_pct",
-    "forecast_error_pct",
-    "step_cost_s",
-)
+if TYPE_CHECKING:
+    from repro.execsim.simulator import StepRecord
 
+__all__ = ["TimelineRecorder", "NullTimeline", "sample_row"]
 
-@dataclass(slots=True)
-class StepSample:
-    """One regrid interval of the simulated run, as the monitor saw it."""
-
-    #: coarse-step index of the interval's snapshot
-    step: int
-    #: simulated seconds at the interval's start
-    t: float
-    #: coarse steps executed in the interval
-    coarse_steps: int
-    #: partitioner the meta-partitioner committed to
-    partitioner: str
-    #: octant classification ("I".."VIII"), when one was made
-    octant: str | None
-    compute_s: float
-    comm_s: float
-    regrid_s: float
-    checkpoint_s: float
-    recovery_s: float
-    #: max load imbalance of the committed partition (percent)
-    imbalance_pct: float
-    #: relative error of the last-value forecast of per-coarse-step cost
-    #: (percent; None for the first interval, which has no forecast)
-    forecast_error_pct: float | None
-    #: detect → rollback → resume cycles within the interval
-    recoveries: int
-    #: processors the detector considered live (num_procs when not
-    #: running fault-tolerant)
-    live_procs: int
-
-    @property
-    def step_cost_s(self) -> float:
-        """Total simulated seconds charged per coarse step."""
-        total = (self.compute_s + self.comm_s + self.regrid_s
-                 + self.checkpoint_s + self.recovery_s)
-        return total / self.coarse_steps if self.coarse_steps else 0.0
-
-    def as_dict(self) -> dict:
-        """JSON-ready representation."""
-        return {
-            "step": self.step,
-            "t_s": self.t,
-            "coarse_steps": self.coarse_steps,
-            "partitioner": self.partitioner,
-            "octant": self.octant,
-            "compute_s": self.compute_s,
-            "comm_s": self.comm_s,
-            "regrid_s": self.regrid_s,
-            "checkpoint_s": self.checkpoint_s,
-            "recovery_s": self.recovery_s,
-            "imbalance_pct": self.imbalance_pct,
-            "forecast_error_pct": self.forecast_error_pct,
-            "recoveries": self.recoveries,
-            "live_procs": self.live_procs,
-            "step_cost_s": self.step_cost_s,
-        }
+#: numeric series (summary + anomaly scans) -> the StepRecord attribute
+SERIES_FIELDS = {
+    "compute_s": "compute_time",
+    "comm_s": "comm_time",
+    "regrid_s": "regrid_time",
+    "checkpoint_s": "checkpoint_time",
+    "recovery_s": "recovery_time",
+    "imbalance_pct": "imbalance_pct",
+    "forecast_error_pct": "forecast_error_pct",
+    "step_cost_s": "step_cost",
+}
 
 
-def _exact_quantile(ordered: list[float], q: float) -> float:
-    """Nearest-rank quantile of an already-sorted list."""
-    if not ordered:
-        return 0.0
-    idx = min(int(q * len(ordered)), len(ordered) - 1)
-    return ordered[idx]
+def sample_row(record: StepRecord) -> dict:
+    """A :class:`~repro.execsim.simulator.StepRecord` as a JSON-ready
+    ``sample`` row, under the timeline's series names."""
+    row = {
+        "step": record.step,
+        "t_s": record.start_time,
+        "coarse_steps": record.coarse_steps,
+        "partitioner": record.label,
+        "octant": record.octant,
+        "recoveries": record.recoveries,
+        "live_procs": len(record.live_procs),
+    }
+    for name, attr in SERIES_FIELDS.items():
+        row[name] = getattr(record, attr)
+    return row
 
 
 @dataclass(slots=True)
 class TimelineRecorder:
-    """Per-interval samples plus irregular events, in arrival order."""
+    """Per-interval records plus irregular events, in arrival order."""
 
-    samples: list[StepSample] = field(default_factory=list)
+    samples: list[StepRecord] = field(default_factory=list)
     events: list[dict] = field(default_factory=list)
 
     enabled = True
 
-    def record(self, sample: StepSample) -> None:
-        """Append one per-interval sample."""
-        self.samples.append(sample)
+    def record(self, record: StepRecord) -> None:
+        """Append one committed interval's record."""
+        self.samples.append(record)
 
     def event(self, kind: str, t: float, **attrs: object) -> None:
         """Append one irregular event (checkpoint, recovery, switch...)."""
@@ -128,18 +87,18 @@ class TimelineRecorder:
     def series(self, name: str) -> list[float]:
         """One numeric series across samples (Nones dropped).
 
-        ``name`` is any of the numeric :class:`StepSample` fields
-        (``compute_s``, ``imbalance_pct``, ``forecast_error_pct``,
-        ``step_cost_s``, ...).
+        ``name`` is any key of :data:`SERIES_FIELDS` (``compute_s``,
+        ``imbalance_pct``, ``forecast_error_pct``, ``step_cost_s``, ...).
         """
         if name not in SERIES_FIELDS:
             raise KeyError(
                 f"unknown timeline series {name!r}; choose from "
-                f"{SERIES_FIELDS}"
+                f"{tuple(SERIES_FIELDS)}"
             )
+        attr = SERIES_FIELDS[name]
         out = []
         for s in self.samples:
-            v = getattr(s, name)
+            v = getattr(s, attr)
             if v is not None:
                 out.append(float(v))
         return out
@@ -164,9 +123,9 @@ class TimelineRecorder:
                 "min": ordered[0],
                 "max": ordered[-1],
                 "mean": sum(values) / len(values),
-                "p50": _exact_quantile(ordered, 0.50),
-                "p95": _exact_quantile(ordered, 0.95),
-                "p99": _exact_quantile(ordered, 0.99),
+                "p50": nearest_rank(ordered, 0.50),
+                "p95": nearest_rank(ordered, 0.95),
+                "p99": nearest_rank(ordered, 0.99),
             }
         return {
             "num_samples": len(self.samples),
@@ -180,12 +139,12 @@ class TimelineRecorder:
     def _usage(self) -> dict[str, int]:
         out: dict[str, int] = {}
         for s in self.samples:
-            out[s.partitioner] = out.get(s.partitioner, 0) + 1
+            out[s.label] = out.get(s.label, 0) + 1
         return dict(sorted(out.items()))
 
     def to_dicts(self) -> list[dict]:
         """Samples then events as typed plain dicts (the JSONL rows)."""
-        rows = [{"type": "sample", **s.as_dict()} for s in self.samples]
+        rows = [{"type": "sample", **sample_row(s)} for s in self.samples]
         rows.extend({"type": "event", **e} for e in self.events)
         return rows
 
@@ -208,8 +167,7 @@ class TimelineRecorder:
 class NullTimeline(TimelineRecorder):
     """The zero-cost default: records nothing.
 
-    Call sites gate sample construction on ``timeline.enabled``, so with
-    the null timeline installed the hot loop pays one attribute read.
+    Handing it a record or an event is one no-op call.
     """
 
     enabled = False
@@ -227,7 +185,7 @@ class NullTimeline(TimelineRecorder):
         """Always empty."""
         return ()
 
-    def record(self, sample: StepSample) -> None:
+    def record(self, record: StepRecord) -> None:
         """Nothing to record."""
 
     def event(self, kind: str, t: float, **attrs: object) -> None:

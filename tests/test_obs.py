@@ -298,33 +298,6 @@ class TestMessageCenterPubSub:
 
 
 class TestSimulatorInstrumentation:
-    def test_counters_match_record_lengths(self, small_rm3d_trace):
-        sim = ExecutionSimulator(sp2_blue_horizon(4))
-        with obs.collect() as window:
-            res = sim.run(small_rm3d_trace, StaticSelector(ISPPartitioner()))
-        reg = window.registry
-        assert reg.sum_counters("execsim.intervals") == len(res.records)
-        assert reg.counter_value("execsim.coarse_steps") == sum(
-            r.coarse_steps for r in res.records
-        )
-        hist = reg.histogram("execsim.imbalance_pct")
-        assert hist.count == len(res.records)
-
-    def test_phase_seconds_match_result(self, small_rm3d_trace):
-        sim = ExecutionSimulator(sp2_blue_horizon(4))
-        with obs.collect() as window:
-            res = sim.run(small_rm3d_trace, StaticSelector(ISPPartitioner()))
-        reg = window.registry
-        compute = reg.counter_value("execsim.sim_seconds", phase="compute")
-        comm = reg.counter_value("execsim.sim_seconds", phase="comm")
-        regrid = reg.counter_value("execsim.sim_seconds", phase="regrid")
-        partition = reg.counter_value("execsim.sim_seconds", phase="partition")
-        assert compute == pytest.approx(
-            sum(r.compute_time for r in res.records)
-        )
-        assert comm == pytest.approx(sum(r.comm_time for r in res.records))
-        assert regrid + partition == pytest.approx(res.total_regrid_time)
-
     def test_meta_partitioner_counters(self, small_rm3d_trace):
         sim = ExecutionSimulator(sp2_blue_horizon(4))
         with obs.collect() as window:

@@ -15,7 +15,7 @@ def _populated_registry() -> MetricsRegistry:
     reg.counter("mc.sends").inc(3)
     reg.counter("mc.dead_letters", reason="timeout").inc()
     reg.gauge("mc.mailbox_hwm", port="adm").set_max(7)
-    h = reg.histogram("execsim.phase_seconds", phase="compute")
+    h = reg.histogram("sweep.task_seconds", scenario="fig1")
     for v in (0.5, 1.0, 2.0, 4.0):
         h.observe(v)
     return reg
@@ -36,7 +36,7 @@ class TestSnapshotExportRoundTrip:
         assert back == doc
         flat = json.dumps(back)
         assert "mc.sends" in flat
-        assert "execsim.phase_seconds" in flat
+        assert "sweep.task_seconds" in flat
 
     def test_stream_and_path_targets_agree(self, tmp_path):
         doc = observability_snapshot(_populated_registry())

@@ -3,51 +3,73 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import obs
+from repro.execsim.simulator import StepRecord
 from repro.obs.anomaly import Alert, EwmaDetector, detect_alerts, detect_series
-from repro.obs.timeline import NullTimeline, StepSample, TimelineRecorder
+from repro.obs.metrics import Histogram, nearest_rank
+from repro.obs.timeline import NullTimeline, TimelineRecorder, sample_row
+from repro.partitioners.metrics import PACMetrics
+
+_METRICS = PACMetrics(
+    load_imbalance_pct=7.5, comm_volume=0.0, data_migration=0.0,
+    partition_time=0.0, overhead=0.0,
+)
 
 
-def _sample(step=0, **over):
+def _record(step=0, **over):
     base = dict(
-        step=step, t=float(step), coarse_steps=4, partitioner="G-MISP+SP",
-        octant="I", compute_s=4.0, comm_s=0.4, regrid_s=0.1,
-        checkpoint_s=0.0, recovery_s=0.0, imbalance_pct=7.5,
-        forecast_error_pct=3.0, recoveries=0, live_procs=16,
+        step=step, label="G-MISP+SP", octant="I", coarse_steps=4,
+        compute_time=4.0, comm_time=0.4, regrid_time=0.1,
+        imbalance_pct=7.5, metrics=_METRICS, checkpoint_time=0.0,
+        recovery_time=0.0, recoveries=0, live_procs=tuple(range(16)),
+        start_time=float(step), forecast_error_pct=3.0,
     )
     base.update(over)
-    return StepSample(**base)
+    return StepRecord(**base)
 
 
 class TestStepSample:
+    """A StepRecord as the timeline's ``sample`` row."""
+
     def test_step_cost_divides_total_by_coarse_steps(self):
-        s = _sample(compute_s=4.0, comm_s=0.4, regrid_s=0.1, coarse_steps=4)
-        assert s.step_cost_s == pytest.approx(4.5 / 4)
+        r = _record(compute_time=4.0, comm_time=0.4, regrid_time=0.1,
+                    coarse_steps=4)
+        assert r.step_cost == pytest.approx(4.5 / 4)
 
     def test_zero_coarse_steps_cost_is_zero(self):
-        assert _sample(coarse_steps=0).step_cost_s == 0.0
+        assert _record(coarse_steps=0).step_cost == 0.0
 
     def test_as_dict_is_json_ready(self):
-        d = _sample().as_dict()
+        d = sample_row(_record())
         json.dumps(d)
+        assert set(d) == {
+            "step", "t_s", "coarse_steps", "partitioner", "octant",
+            "compute_s", "comm_s", "regrid_s", "checkpoint_s",
+            "recovery_s", "imbalance_pct", "forecast_error_pct",
+            "recoveries", "live_procs", "step_cost_s",
+        }
         assert d["t_s"] == 0.0
+        assert d["live_procs"] == 16
         assert d["step_cost_s"] == pytest.approx(4.5 / 4)
 
 
 class TestTimelineRecorder:
     def test_record_and_series(self):
         tl = TimelineRecorder()
-        tl.record(_sample(0, imbalance_pct=5.0))
-        tl.record(_sample(4, imbalance_pct=9.0))
+        tl.record(_record(0, imbalance_pct=5.0))
+        tl.record(_record(4, imbalance_pct=9.0))
         assert tl.series("imbalance_pct") == [5.0, 9.0]
 
     def test_series_drops_none(self):
         tl = TimelineRecorder()
-        tl.record(_sample(0, forecast_error_pct=None))
-        tl.record(_sample(4, forecast_error_pct=2.0))
+        tl.record(_record(0, forecast_error_pct=None))
+        tl.record(_record(4, forecast_error_pct=2.0))
         assert tl.series("forecast_error_pct") == [2.0]
 
     def test_unknown_series_raises(self):
@@ -64,20 +86,48 @@ class TestTimelineRecorder:
     def test_summary_has_quantiles_and_usage(self):
         tl = TimelineRecorder()
         for k in range(10):
-            tl.record(_sample(k * 4, imbalance_pct=float(k)))
+            tl.record(_record(k * 4, imbalance_pct=float(k)))
         s = tl.summary()
         assert s["num_samples"] == 10
         assert s["coarse_steps"] == 40
         assert s["partitioner_usage"] == {"G-MISP+SP": 10}
-        st = s["series"]["imbalance_pct"]
-        assert st["min"] == 0.0 and st["max"] == 9.0
-        assert st["p50"] == 5.0
-        assert st["p95"] <= st["p99"] <= st["max"]
+        stats = s["series"]["imbalance_pct"]
+        assert stats["min"] == 0.0 and stats["max"] == 9.0
+        # nearest rank: the 5th of 10 samples covers half of them
+        assert stats["p50"] == 4.0
+        assert stats["p95"] <= stats["p99"] <= stats["max"]
         json.dumps(s)
+
+    @given(st.lists(
+        st.floats(min_value=1e-6, max_value=1e6, allow_nan=False),
+        min_size=1, max_size=200,
+    ))
+    def test_one_quantile_rule(self, values):
+        ordered = sorted(values)
+        cumulative = Histogram("h")
+        windowed = Histogram("w", window=len(values))
+        tl = TimelineRecorder()
+        for k, v in enumerate(values):
+            cumulative.observe(v)
+            windowed.observe(v)
+            tl.record(_record(k, imbalance_pct=v))
+        for q in (0.5, 0.95, 0.99):
+            # the bucketed estimate is an upper bound on the exact rank
+            assert cumulative.quantile(q) >= nearest_rank(ordered, q)
+        stats = tl.summary()["series"]["imbalance_pct"]
+        want = windowed.summary()
+        for key in ("p50", "p95", "p99"):
+            assert stats[key] == want[key]
+
+    def test_nearest_rank(self):
+        assert nearest_rank([], 0.5) == 0.0
+        assert nearest_rank([1.0, 2.0, 3.0, 4.0], 0.5) == 2.0
+        assert nearest_rank([1.0, 2.0, 3.0, 4.0], 0.0) == 1.0
+        assert nearest_rank([1.0, 2.0, 3.0, 4.0], 1.0) == 4.0
 
     def test_jsonl_roundtrip(self, tmp_path):
         tl = TimelineRecorder()
-        tl.record(_sample(0))
+        tl.record(_record(0))
         tl.event("checkpoint", t=0.5, step=0, seconds=0.1)
         path = tl.to_jsonl(tmp_path / "tl.jsonl")
         rows = [json.loads(line) for line in path.read_text().splitlines()]
@@ -87,7 +137,7 @@ class TestTimelineRecorder:
 
     def test_reset_clears(self):
         tl = TimelineRecorder()
-        tl.record(_sample(0))
+        tl.record(_record(0))
         tl.event("x", t=0.0)
         tl.reset()
         assert not tl.samples and not tl.events
@@ -97,7 +147,7 @@ class TestNullTimeline:
     def test_records_nothing(self):
         tl = NullTimeline()
         assert not tl.enabled
-        tl.record(_sample(0))
+        tl.record(_record(0))
         tl.event("checkpoint", t=0.0)
         assert tl.samples == () and tl.events == ()
         assert tl.summary()["num_samples"] == 0
@@ -123,18 +173,36 @@ class TestSimulatorTimeline:
         with obs.collect() as window:
             res = sim.run(small_rm3d_trace, StaticSelector(ISPPartitioner()))
         tl = window.timeline
+        # The timeline holds the run's own records, not copies.
         assert len(tl.samples) == len(res.records)
+        assert all(a is b for a, b in zip(tl.samples, res.records))
         first, second = tl.samples[0], tl.samples[1]
         assert first.forecast_error_pct is None
         assert second.forecast_error_pct is not None
-        assert first.live_procs == 8
-        assert tl.samples[0].compute_s == pytest.approx(
-            res.records[0].compute_time
+        assert sample_row(first)["live_procs"] == 8
+        assert second.start_time == pytest.approx(first.total_time)
+
+    def test_online_run_commits_to_the_timeline(self):
+        from repro.core.online import OnlineAdaptiveRuntime
+        from repro.obs.report import quickstart_scenario
+
+        app, policy, runtime = quickstart_scenario()
+        online = OnlineAdaptiveRuntime(
+            runtime.cluster, num_procs=runtime.num_procs
         )
-        # Phase histograms carry quantiles for the same intervals.
-        h = window.registry.histogram("execsim.phase_seconds", phase="compute")
-        assert h.count == len(res.records)
-        assert h.summary()["p95"] >= h.summary()["p50"]
+        with obs.collect() as window:
+            first = online.run(app, policy, 8).result
+            second = online.run(app, policy, 8).result
+        records = first.records + second.records
+        assert len(records) == len(window.timeline.samples) == 4
+        assert all(a is b for a, b in zip(window.timeline.samples, records))
+        # forecast error restarts at each run's first interval
+        assert [r.forecast_error_pct is None for r in records] == [
+            True, False, True, False,
+        ]
+        assert second.total_runtime == pytest.approx(
+            sum(r.total_time for r in second.records)
+        )
 
     def test_resilient_replay_emits_checkpoint_and_recovery_events(
         self, small_rm3d_trace
@@ -166,6 +234,33 @@ class TestSimulatorTimeline:
         sim = ExecutionSimulator(sp2_blue_horizon(8), num_procs=8)
         sim.run(small_rm3d_trace, StaticSelector(ISPPartitioner()))
         assert obs.get_timeline().samples == ()
+
+
+class TestSinkCoverage:
+    def test_every_sink_reports_every_interval(self, monkeypatch):
+        from repro.obs.report import PHASES, collect_run_report
+
+        windows = []
+        real_collect = obs.collect
+
+        def capture():
+            window = real_collect()
+            windows.append(window)
+            return window
+
+        monkeypatch.setattr(obs, "collect", capture)
+        doc = collect_run_report().to_dict()
+        (window,) = windows
+        records = window.timeline.samples
+        # 3 replays x 40 intervals + 12 online intervals
+        assert doc["timeline"]["num_samples"] == 132
+        assert doc["partitioning"]["intervals"] == 132
+        assert doc["partitioning"]["coarse_steps"] == sum(
+            r.coarse_steps for r in records
+        )
+        for phase, share in PHASES.items():
+            want = math.fsum(share(r) for r in records)
+            assert doc["phases"][phase] == pytest.approx(want, rel=1e-12)
 
 
 class TestEwmaDetector:
@@ -210,7 +305,7 @@ class TestEwmaDetector:
         tl = TimelineRecorder()
         for k in range(12):
             tl.record(
-                _sample(k * 4, compute_s=400.0 if k == 9 else 4.0)
+                _record(k * 4, compute_time=400.0 if k == 9 else 4.0)
             )
         alerts = detect_alerts(tl)
         assert any(
