@@ -4,8 +4,9 @@ Times the comm-cost kernel against its frozen scalar oracle
 (``tests/reference/ref_costmodel.py``) on synthetic adjacency problems
 up to ~1e5 pairs (the regime a production-sized unit lattice reaches);
 the kernel's time includes finding the cut with the all-pairs owner
-mask and gathering its record (:func:`repro.partitioners.base.cut_record`),
-and replays the regrid reuse cache over the reduced RM3D trace plus a
+mask and gathering its record (:func:`repro.partitioners.base.cut_record`)
+but not forming the pairs' face areas and cell counts, which the
+program reads from its unit-geometry memo, and replays the regrid reuse cache over the reduced RM3D trace plus a
 scripted localized-adaptation trace (:mod:`repro.execsim.bench`).
 Asserts the acceptance floors — cost kernel >= 3x the oracle at 1e5
 adjacency pairs, nonzero reuse-hit rate on the RM3D trace — and writes
@@ -75,11 +76,23 @@ def _cost_problem(rng: np.random.Generator, n_pairs: int):
     return i, j, axis, assignment, shapes, loads
 
 
-def _cost_terms(i, j, axis, assignment, shapes, loads, num_procs,
+def _pair_geometry(i, j, axis, shapes):
+    """Face areas and cell counts of arbitrary pairs, formed as the
+    oracle forms them: the product of the smaller endpoint extents along
+    each pair's two other axes, and ``max(cells, 1)`` per unit, as
+    floats (the geometry memo holds the lattice's own)."""
+    extent = np.minimum(shapes[i], shapes[j])
+    extent[np.arange(axis.size), axis] = 1
+    face = extent.prod(axis=1).astype(float)
+    cells = np.maximum(shapes.prod(axis=1), 1).astype(float)
+    return face, cells
+
+
+def _cost_terms(i, j, face, assignment, cells, loads, num_procs,
                 ghost_width, bytes_per_comm_unit):
     """The kernel over arbitrary pairs: cut by the all-pairs owner mask."""
     pairs = np.flatnonzero(assignment[i] != assignment[j])
-    cut = cut_record(i, j, axis, pairs, assignment, shapes, loads)
+    cut = cut_record(i, j, face, pairs, assignment, cells, loads)
     return comm_cost_terms(cut, num_procs, ghost_width, bytes_per_comm_unit)
 
 
@@ -90,12 +103,15 @@ def test_execsim_bench_snapshot(reference):
 
     cost_kernel: dict = {}
     for n_pairs in PAIR_COUNTS:
-        args = (
-            *_cost_problem(rng, n_pairs), PROCS,
-            cost.ghost_width, cost.bytes_per_comm_unit,
-        )
-        wall_s, ref = _best_of(lambda: ref_costmodel.comm_cost_terms(*args))
-        wall_v, out = _best_of(lambda: _cost_terms(*args))
+        i, j, axis, assignment, shapes, loads = _cost_problem(rng, n_pairs)
+        widths = (PROCS, cost.ghost_width, cost.bytes_per_comm_unit)
+        face, cells = _pair_geometry(i, j, axis, shapes)
+        wall_s, ref = _best_of(lambda: ref_costmodel.comm_cost_terms(
+            i, j, axis, assignment, shapes, loads, *widths
+        ))
+        wall_v, out = _best_of(lambda: _cost_terms(
+            i, j, face, assignment, cells, loads, *widths
+        ))
         cost_kernel[f"pairs{n_pairs}"] = {
             "wall_scalar_s": wall_s,
             "wall_vector_s": wall_v,

@@ -3,9 +3,9 @@
 Times every partitioning kernel against its frozen scalar oracle under
 ``tests/reference/`` on seeded synthetic inputs, asserts the pay-off the
 vector kernels promised (sequence partitioning >= 3x at 1e5 units; the
-fragment count, the refined mask and cut scoring >= 3x on the reference
-lattice), and
-writes the machine-readable snapshot the ``python -m repro benchdiff``
+fragment count, the refined mask, cut scoring and the RM3D-shaped load
+map >= 3x on the reference lattice), and writes the machine-readable
+snapshot the ``python -m repro benchdiff``
 CI gate compares against.  ``wall_scalar_s`` is the oracle's time and
 ``wall_vector_s`` the in-tree kernel's; wall-clock and speedup entries
 live under key names the gate's default ignore rules skip, while the
@@ -28,6 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.amr.box import Box
+from repro.amr.grid import Level, Patch
+from repro.amr.hierarchy import GridHierarchy
 from repro.amr.regrid import Regridder, RegridPolicy
 from repro.amr.workload import composite_load_map
 from repro.execsim.costmodel import CostModel, comm_cost_terms
@@ -64,9 +66,13 @@ WORKLOAD_SHAPE = (64, 32, 32)
 #: the reference RM3D lattice (granularity 1) for the PAC-metric kernels
 METRIC_SHAPE = (128, 32, 32)
 
-#: acceptance floor of the fragment-count, refined-mask and cut-scoring
-#: kernels
+#: acceptance floor of the fragment-count, refined-mask, cut-scoring and
+#: load-map kernels
 MIN_METRIC_SPEEDUP = 3.0
+
+#: (patch count, extent spread in the level's own cells) of each refined
+#: level of the RM3D-shaped load-map hierarchy
+RM3D_LEVELS = ((100, 16), (130, 30), (110, 48))
 
 
 def _digest(values: np.ndarray) -> str:
@@ -121,6 +127,29 @@ def _bench_hierarchies(rng: np.random.Generator) -> dict:
     spikes = np.where(rng.random(domain.shape) > 0.985, 1.0, 0.0)
     spiky = Regridder(domain, RegridPolicy(thresholds=(0.5,))).regrid(spikes)
     return {"bulky": bulky, "spiky": spiky}
+
+
+def _rm3d_like_hierarchy(rng: np.random.Generator) -> GridHierarchy:
+    """One base patch over the reference lattice and three ratio-2 levels
+    of one to two hundred small patches each, shaped like an RM3D snapshot:
+    the base level holds most of the cells the load map lands."""
+    domain = Box((0, 0, 0), METRIC_SHAPE)
+    levels = [Level(index=0, ratio=1, patches=[
+        Patch(domain, level=0, patch_id=0, load_per_cell=1.0 + rng.random()),
+    ])]
+    for index, (count, spread) in enumerate(RM3D_LEVELS, start=1):
+        fine = np.asarray(METRIC_SHAPE) * 2 ** index
+        extent = 2 + (rng.random((count, 3)) * spread).astype(int)
+        lo = (rng.random((count, 3)) * (fine - extent)).astype(int)
+        loads = 1.0 + rng.random(count)
+        levels.append(Level(index=index, ratio=2, patches=[
+            Patch(Box(tuple(a), tuple(b)), level=index, patch_id=k,
+                  load_per_cell=w)
+            for k, (a, b, w) in enumerate(zip(
+                lo.tolist(), (lo + extent).tolist(), loads.tolist()
+            ))
+        ]))
+    return GridHierarchy(domain=domain, levels=levels)
 
 
 def _metric_kernels(
@@ -246,6 +275,11 @@ def test_kernels_bench_snapshot(reference):
         for name, h in _bench_hierarchies(rng).items()
     }
     kernels.update(_metric_kernels(rng, ref_metrics, ref_costmodel))
+    rm3d = _rm3d_like_hierarchy(rng)
+    kernels["load_map"] = {"rm3d": _pair(
+        lambda: ref_workload.composite_values(rm3d),
+        lambda: composite_load_map(rm3d).values,
+    )}
 
     largest = f"n{max(SIZES)}"
     doc = {
@@ -267,6 +301,7 @@ def test_kernels_bench_snapshot(reference):
                 kernels["rect_fragments"]["ref128"]["speedup"],
             "refined_mask_speedup":
                 kernels["refined_mask"]["ref128"]["speedup"],
+            "load_map_speedup": kernels["load_map"]["rm3d"]["speedup"],
             "all_match": all(
                 entry["match"]
                 for kern in kernels.values()
@@ -287,7 +322,7 @@ def test_kernels_bench_snapshot(reference):
         f"at n={gate['largest_n']}"
     )
 
-    for name in ("cut_scoring", "rect_fragments", "refined_mask"):
+    for name in ("cut_scoring", "rect_fragments", "refined_mask", "load_map"):
         speedup = gate[f"{name}_speedup"]
         assert speedup >= MIN_METRIC_SPEEDUP, (
             f"{name} kernel only {speedup:.1f}x over its oracle"

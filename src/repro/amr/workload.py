@@ -74,9 +74,10 @@ def composite_load_map(hierarchy: GridHierarchy) -> WorkloadMap:
 
     The patch count alone picks the accumulation: from
     :data:`VECTOR_MIN_PATCHES` patches up, :func:`_batched_values` lands
-    every patch of a level in one scatter; below that, the per-patch
-    slice adds here are already optimal.  Both are bit-identical to the
-    frozen loop in ``tests/reference/ref_workload.py``.
+    the unrefined levels by slice and every patch of a refined level in
+    one scatter; below that, the per-patch slice adds here are already
+    optimal.  Both are bit-identical to the frozen loop in
+    ``tests/reference/ref_workload.py``.
     """
     domain = hierarchy.domain
     if hierarchy.num_patches >= VECTOR_MIN_PATCHES:
@@ -139,29 +140,41 @@ def update_composite_load_map(
         )
     values = old.values.copy()
     values[dirty_mask] = 0.0
+    dlo = np.asarray(domain.lo, dtype=np.int64)
+    dhi = np.asarray(domain.hi, dtype=np.int64)
+    # Running count of dirty rows along each axis: a patch whose
+    # footprint misses the dirty rows of any axis touches no dirty cell,
+    # so every patch of a level is screened at once.
+    rows = [
+        np.concatenate([[0], np.cumsum(dirty_mask.any(axis=other))])
+        for other in ((1, 2), (0, 2), (0, 1))
+    ]
 
     for lvl in hierarchy.levels:
+        if not lvl.patches:
+            continue
         ratio = hierarchy.cumulative_ratio(lvl.index)
-        subcycles = ratio
-        for patch in lvl:
-            weight = patch.load_per_cell * subcycles
-            if ratio == 1:
-                sl = patch.box.slices(domain.lo)
-                local = dirty_mask[sl]
-                if local.any():
-                    values[sl][local] += weight
-                continue
-            coarse = patch.box.coarsen(ratio)
-            clipped = coarse.intersection(domain)
-            if clipped is None:
-                continue
-            sl = clipped.slices(domain.lo)
+        arrays = lvl.patch_arrays()
+        # footprints coarsened and clipped to the domain, in map indices
+        clo = np.maximum(arrays.lo // ratio, dlo) - dlo
+        chi = np.maximum(np.minimum(-(-arrays.hi // ratio), dhi) - dlo, clo)
+        hit = np.ones(len(clo), dtype=bool)
+        for axis, count in enumerate(rows):
+            hit &= count[chi[:, axis]] > count[clo[:, axis]]
+        weights = (arrays.load_per_cell * ratio).tolist()
+        for k in np.flatnonzero(hit).tolist():
+            lo, hi = clo[k].tolist(), chi[k].tolist()
+            sl = tuple(slice(lo[a], hi[a]) for a in range(3))
             local = dirty_mask[sl]
             if not local.any():
                 continue
+            if ratio == 1:
+                values[sl][local] += weights[k]
+                continue
+            flo, fhi = arrays.lo[k].tolist(), arrays.hi[k].tolist()
             counts = [
-                _axis_overlap(patch.box.lo[a], patch.box.hi[a], coarse.lo[a],
-                              coarse.hi[a], ratio)
+                _axis_overlap(flo[a], fhi[a], lo[a] + domain.lo[a],
+                              hi[a] + domain.lo[a], ratio)
                 for a in range(3)
             ]
             block = (
@@ -169,8 +182,7 @@ def update_composite_load_map(
                 * counts[1][None, :, None]
                 * counts[2][None, None, :]
             ).astype(float)
-            bsl = clipped.slices(coarse.lo)
-            values[sl][local] += (weight * block[bsl])[local]
+            values[sl][local] += (weights[k] * block)[local]
     return WorkloadMap(domain=domain, values=values)
 
 
@@ -197,15 +209,18 @@ def _ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 def _batched_values(hierarchy: GridHierarchy) -> np.ndarray:
     """Patch-batched base-grid load array of :func:`composite_load_map`.
 
-    Every patch of a level is processed at once with ragged
-    (offset-indexed) arrays, and all contributions land in a single
-    ``np.bincount`` scatter, removing the per-patch dispatch overhead
-    that dominates on hierarchies with many small patches.
+    A level whose cumulative ratio is 1 covers each base cell of a patch
+    exactly once, so its patches land as contiguous slice adds of their
+    ``weight``.  Every refined level is processed at once with ragged
+    (offset-indexed) arrays, and its contributions land in one in-order
+    ``np.add.at`` scatter onto the same map, removing the per-patch
+    dispatch overhead that dominates on hierarchies with many small
+    patches.  Only refined cells pass through the scatter.
 
     Bit-identity with the per-patch loop: per base cell a patch
     contributes ``weight * float(cx * cy * cz)`` — an exact int64
-    product cast to float, then one float multiply — and ``np.bincount``
-    accumulates its weights in input order onto a zero output, so the
+    product cast to float, then one float multiply — and both the slice
+    adds and ``np.add.at`` apply their additions in input order, so the
     per-cell float additions happen in the loop's order (levels in
     order, patches in level order).
     """
@@ -214,8 +229,7 @@ def _batched_values(hierarchy: GridHierarchy) -> np.ndarray:
     dlo = np.asarray(domain.lo, dtype=np.int64)
     dhi = np.asarray(domain.hi, dtype=np.int64)
     values = np.zeros(domain.shape, dtype=float)
-    idx_parts: list[np.ndarray] = []
-    val_parts: list[np.ndarray] = []
+    flat = values.reshape(-1)
 
     for lvl in hierarchy.levels:
         if not lvl.patches:
@@ -234,6 +248,14 @@ def _batched_values(hierarchy: GridHierarchy) -> np.ndarray:
         cells = m[:, 0] * m[:, 1] * m[:, 2]
         keep = cells > 0
         if not keep.any():
+            continue
+        if ratio == 1:
+            for w, (x0, y0, z0), (x1, y1, z1) in zip(
+                weight[keep].tolist(),
+                (clo[keep] - dlo).tolist(),
+                (chi[keep] - dlo).tolist(),
+            ):
+                values[x0:x1, y0:y1, z0:z1] += w
             continue
         weight, flo, fhi, clo, m, cells = (
             arr[keep] for arr in (weight, flo, fhi, clo, m, cells)
@@ -254,8 +276,8 @@ def _batched_values(hierarchy: GridHierarchy) -> np.ndarray:
             offsets.append(np.concatenate([[0], np.cumsum(lengths)[:-1]]))
 
         # Decompose each patch-local cell number into (a, b, c) block
-        # coordinates, gather the three axis counts, and emit the
-        # contribution value plus its flat domain index.
+        # coordinates, gather the three axis counts, and scatter the
+        # contribution values onto their flat domain indices.
         local = _ragged_arange(np.zeros(cells.size, dtype=np.int64), cells)
         my_rep = np.repeat(m[:, 1], cells)
         mz_rep = np.repeat(m[:, 2], cells)
@@ -266,18 +288,11 @@ def _batched_values(hierarchy: GridHierarchy) -> np.ndarray:
         cx = counts[0][np.repeat(offsets[0], cells) + a]
         cy = counts[1][np.repeat(offsets[1], cells) + b]
         cz = counts[2][np.repeat(offsets[2], cells) + c]
-        val_parts.append(
-            np.repeat(weight, cells) * (cx * cy * cz).astype(float)
-        )
         gx = np.repeat(clo[:, 0] - dlo[0], cells) + a
         gy = np.repeat(clo[:, 1] - dlo[1], cells) + b
         gz = np.repeat(clo[:, 2] - dlo[2], cells) + c
-        idx_parts.append((gx * ny + gy) * nz + gz)
-
-    if idx_parts:
-        idx = np.concatenate(idx_parts)
-        vals = np.concatenate(val_parts)
-        values.reshape(-1)[:] += np.bincount(
-            idx, weights=vals, minlength=values.size
+        np.add.at(
+            flat, (gx * ny + gy) * nz + gz,
+            np.repeat(weight, cells) * (cx * cy * cz).astype(float),
         )
     return values

@@ -305,8 +305,9 @@ class ExecutionSimulator:
         detector = (
             FailureDetector(self.cluster, ft.detector) if resilient else None
         )
-        # Incremental replay regrids one hierarchy in place, so checkpoints
-        # must deep-copy or a restore would return post-mutation state.
+        # Replay never mutates a snapshot (the reuse cache only diffs
+        # successive hierarchies), so aliasing checkpoints would be safe;
+        # the deep copy under incremental replay is redundant.
         if ft is None:
             ckpt_store = None
         elif ft.checkpoint_dir is not None:

@@ -74,40 +74,33 @@ class CutRecord:
 def cut_record(
     i: np.ndarray,
     j: np.ndarray,
-    axis: np.ndarray,
+    face: np.ndarray,
     pairs: np.ndarray,
     assignment: np.ndarray,
-    shapes: np.ndarray,
+    cells: np.ndarray,
     loads: np.ndarray,
 ) -> CutRecord:
     """Gather the cut-sized arrays for the cut-pair indices ``pairs``.
 
-    ``(i, j, axis)`` are adjacency pairs of units with extents
-    ``shapes`` (n, 3) and ``loads``; ``pairs`` are the ascending indices
-    of the pairs whose endpoints have different owners in
-    ``assignment``.  The record's arrays are read-only; ``pairs`` is held
-    as given (not copied) and made read-only too.
+    ``(i, j)`` are adjacency pairs with float face areas ``face``, over
+    units with float cell counts ``cells`` (already ``max(cells, 1)``)
+    and ``loads``; ``pairs`` are the ascending indices of the pairs
+    whose endpoints have different owners in ``assignment``.  The
+    record's arrays are read-only; ``pairs`` is held as given (not
+    copied) and made read-only too.
     """
     ic = i[pairs]
     jc = j[pairs]
-    # Extents of both endpoints, one gather per axis.  Cell counts and
-    # face areas are exact integer products, so the densities and areas
-    # equal the oracles' all-pairs values bit for bit.
-    ei = [extent[ic] for extent in shapes.T]
-    ej = [extent[jc] for extent in shapes.T]
-    density = loads[ic] / np.maximum(ei[0] * ei[1] * ei[2], 1.0)
-    density += loads[jc] / np.maximum(ej[0] * ej[1] * ej[2], 1.0)
-    # Face area: the smaller extents along the two axes orthogonal to
-    # the pair's axis.
-    mx, my, mz = (np.minimum(a, b, out=a) for a, b in zip(ei, ej))
-    del ej  # a large cut's temporaries set the replay's peak RSS
-    ax = axis[pairs]
-    face = np.where(ax == 0, my * mz, np.where(ax == 1, mx * mz, mx * my))
+    # Face areas and cell counts are exact integer products held as
+    # floats, so the densities and areas equal the oracles' all-pairs
+    # values bit for bit.
+    density = loads[ic] / cells[ic]
+    density += loads[jc] / cells[jc]
     record = CutRecord(
         pairs=pairs,
         owner_i=assignment[ic],
         owner_j=assignment[jc],
-        face=face.astype(float),
+        face=face[pairs],
         density=density,
     )
     for arr in (pairs, record.owner_i, record.owner_j, record.face,
@@ -204,11 +197,10 @@ class Partition:
                 (lat[:, 1:] != lat[:, :-1]).ravel(),
                 (lat[:, :, 1:] != lat[:, :, :-1]).ravel(),
             ])
-            units = self.units
-            i, j, axis = units.adjacency_arrays()
+            geo = self.units.pair_geometry()
             record = cut_record(
-                i, j, axis, np.flatnonzero(crossed), self.assignment,
-                units.unit_shapes(), units.loads,
+                geo.i, geo.j, geo.face, np.flatnonzero(crossed),
+                self.assignment, geo.cells, self.units.loads,
             )
             object.__setattr__(self, "_cut", record)
         return record

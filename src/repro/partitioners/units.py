@@ -32,24 +32,26 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class _UnitGeometry:
-    """One memo entry; arrays in curve order, adjacency as (i, j, axis)."""
+    """One memo entry: adjacency pairs (i, j) of curve positions, the
+    face area of each pair and each unit's cell count, as the cut reads
+    them."""
 
     i: np.ndarray
     j: np.ndarray
-    axis: np.ndarray
-    shapes: np.ndarray  # (n, 3) extent in base cells, edge units clipped
+    face: np.ndarray   # (pairs,) face area in base cells, float
+    cells: np.ndarray  # (n,) max(cells, 1) per unit, float, curve order
 
     @property
     def nbytes(self) -> int:
-        return sum(a.nbytes for a in (self.i, self.j, self.axis, self.shapes))
+        return sum(a.nbytes for a in (self.i, self.j, self.face, self.cells))
 
 
 #: memoized (domain, granularity, curve) → unit geometry: adjacency
-#: pairs and unit shapes, a pure function of the key that the cut record
-#: reads at every regrid.  Arrays are read-only.  The memo is
-#: FIFO-evicted to stay within :data:`_GEOMETRY_MEMO_BYTES` (a byte
-#: budget, not an entry count: one reference-lattice entry, 128x32x32
-#: units, is about 12 MB).
+#: pairs, face areas and cell counts, a pure function of the key that
+#: the cut record reads at every regrid.  Arrays are read-only.  The
+#: memo is FIFO-evicted to stay within :data:`_GEOMETRY_MEMO_BYTES` (a
+#: byte budget, not an entry count: one reference-lattice entry,
+#: 128x32x32 units, is about 10 MB).
 _GEOMETRY_MEMO: dict[tuple[Box, int, str], _UnitGeometry] = {}
 _GEOMETRY_MEMO_BYTES = 64 << 20
 #: serializes insertion and eviction across server worker threads
@@ -113,24 +115,44 @@ class CompositeUnits:
         )
         return Box(lo, hi)
 
-    def unit_shapes(self) -> np.ndarray:
-        """(n, 3) extent of each unit in base cells (edge units clipped).
+    def _extents(self) -> list[np.ndarray]:
+        """Per-axis unit extents in base cells (edge units clipped)."""
+        g = self.granularity
+        out = []
+        for axis in range(3):
+            lo = np.arange(self.grid_shape[axis]) * g + self.domain.lo[axis]
+            out.append(np.minimum(lo + g, self.domain.hi[axis]) - lo)
+        return out
 
-        Memoized with the adjacency; the array is read-only.
-        """
-        return self._geometry().shapes
+    def unit_shapes(self) -> np.ndarray:
+        """(n, 3) extent of each unit in base cells (edge units clipped)."""
+        ex, ey, ez = self._extents()
+        return np.column_stack(
+            [ex[self.ijk[:, 0]], ey[self.ijk[:, 1]], ez[self.ijk[:, 2]]]
+        )
 
     def adjacency_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vectorized adjacency: (i, j, axis) arrays of curve positions.
 
-        Pure function of ``(domain, granularity, curve)``, memoized
-        process-wide — the returned arrays are read-only (copy before
-        mutating).
+        Pairs are listed axis-major, each axis in C order over the lower
+        endpoint's lattice coordinates.  ``i`` and ``j`` are memoized
+        process-wide and read-only (copy before mutating); ``axis`` is
+        built on each call.
         """
-        geo = self._geometry()
-        return geo.i, geo.j, geo.axis
+        geo = self.pair_geometry()
+        nx, ny, nz = self.grid_shape
+        per_axis = [(nx - 1) * ny * nz, nx * (ny - 1) * nz, nx * ny * (nz - 1)]
+        return geo.i, geo.j, np.repeat(np.arange(3), per_axis)
 
-    def _geometry(self) -> _UnitGeometry:
+    def pair_geometry(self) -> _UnitGeometry:
+        """The memoized geometry of this unit lattice (read-only arrays).
+
+        A pure function of ``(domain, granularity, curve)``: adjacency
+        pairs, the face area of each pair and the cell count of each
+        unit.  Both endpoints of an axis-``a`` pair share their other
+        two lattice coordinates, so the face is the product of the
+        extents along those two axes.
+        """
         memo_key = (self.domain, self.granularity, self.curve)
         cached = _GEOMETRY_MEMO.get(memo_key)
         if cached is not None:
@@ -138,28 +160,28 @@ class CompositeUnits:
             return cached
         obs.counter("units.adjacency_memo", outcome="miss").inc()
         lat = self.curve_position.reshape(self.grid_shape)
+        ex, ey, ez = (e.astype(float) for e in self._extents())
+        ex, ey, ez = ex[:, None, None], ey[None, :, None], ez[None, None, :]
         ii: list[np.ndarray] = []
         jj: list[np.ndarray] = []
-        aa: list[np.ndarray] = []
-        for axis in range(3):
+        faces: list[np.ndarray] = []
+        for axis, face in enumerate((ey * ez, ex * ez, ex * ey)):
             sl_lo = [slice(None)] * 3
             sl_hi = [slice(None)] * 3
             sl_lo[axis] = slice(0, self.grid_shape[axis] - 1)
             sl_hi[axis] = slice(1, self.grid_shape[axis])
-            a = lat[tuple(sl_lo)].ravel()
-            ii.append(a)
+            a = lat[tuple(sl_lo)]
+            ii.append(a.ravel())
             jj.append(lat[tuple(sl_hi)].ravel())
-            aa.append(np.full(a.size, axis, dtype=int))
-        g = self.granularity
-        lo = self.ijk * g + np.asarray(self.domain.lo)
-        shapes = np.minimum(lo + g, np.asarray(self.domain.hi)) - lo
+            faces.append(np.broadcast_to(face, a.shape).ravel())
+        cells = (ex * ey * ez).ravel()[self.lattice_index]
         entry = _UnitGeometry(
             i=np.concatenate(ii).astype(int, copy=False),
             j=np.concatenate(jj).astype(int, copy=False),
-            axis=np.concatenate(aa),
-            shapes=shapes,
+            face=np.concatenate(faces),
+            cells=np.maximum(cells, 1.0),
         )
-        for arr in (entry.i, entry.j, entry.axis, entry.shapes):
+        for arr in (entry.i, entry.j, entry.face, entry.cells):
             arr.setflags(write=False)
         _memoize(memo_key, entry)
         return entry

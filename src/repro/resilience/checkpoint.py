@@ -106,14 +106,12 @@ class CheckpointStore:
         With ``deep_copy=True`` the hierarchy is copied; with the default
         ``deep_copy=False`` the checkpoint *aliases* the caller's object.
         Aliasing is only safe when the caller never mutates the hierarchy
-        after saving — true for plain trace replay, where each step's
-        snapshot is a fresh immutable object, but NOT for incremental
-        replay, where the simulator regrids one hierarchy in place: an
-        aliased checkpoint would silently track the mutations and a later
-        restore would return post-failure state instead of the state at
-        save time.  Callers that mutate in place must pass
-        ``deep_copy=True`` (the execution simulator does this whenever
-        ``incremental=True``).
+        after saving: an aliased checkpoint would silently track the
+        mutations and a later restore would return post-failure state
+        instead of the state at save time.  Trace replay, incremental or
+        not, never mutates a snapshot (the reuse cache only diffs
+        successive hierarchies); the execution simulator still passes
+        ``deep_copy=True`` whenever ``incremental=True``.
         """
         ck = Checkpoint(
             step=step,

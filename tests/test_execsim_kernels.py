@@ -86,11 +86,24 @@ def _cases():
     return out
 
 
+def _pair_geometry(i, j, axis, shapes):
+    """Face areas and cell counts of arbitrary pairs, formed as the
+    oracle forms them: the product of the smaller endpoint extents along
+    each pair's two other axes, and ``max(cells, 1)`` per unit, as
+    floats (the geometry memo holds the lattice's own)."""
+    extent = np.minimum(shapes[i], shapes[j])
+    extent[np.arange(axis.size), axis] = 1
+    face = extent.prod(axis=1).astype(float)
+    cells = np.maximum(shapes.prod(axis=1), 1).astype(float)
+    return face, cells
+
+
 def _terms_of_pairs(i, j, axis, assignment, shapes, loads, num_procs,
                     ghost_width, bytes_per_comm_unit):
     """The kernel over arbitrary pairs: cut by the all-pairs owner mask."""
+    face, cells = _pair_geometry(i, j, axis, shapes)
     pairs = np.flatnonzero(assignment[i] != assignment[j])
-    cut = cut_record(i, j, axis, pairs, assignment, shapes, loads)
+    cut = cut_record(i, j, face, pairs, assignment, cells, loads)
     return comm_cost_terms(cut, num_procs, ghost_width, bytes_per_comm_unit)
 
 

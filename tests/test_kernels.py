@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib.util
+import itertools
 import json
 from pathlib import Path
 
@@ -184,6 +185,84 @@ class TestPBDDifferential:
 # -- composite load map -------------------------------------------------------
 
 
+def _patch_load(rng: np.random.Generator) -> float:
+    """A per-cell load spanning six decades, zero one time in six: the
+    float sums are order-sensitive, so a reordered accumulation shows."""
+    if rng.random() < 1 / 6:
+        return 0.0
+    return float(rng.random() * 10.0 ** rng.integers(-3, 4))
+
+
+def _tiled_level(rng, index, ratio, lo, hi, cuts) -> Level:
+    """Patches tiling the fine box ``[lo, hi)`` on a grid of random cut
+    points, so patch faces fall off the ratio and neighbours share a
+    base cell."""
+    edges = [
+        np.unique(np.r_[lo[a], rng.integers(lo[a] + 1, hi[a], cuts[a]), hi[a]])
+        for a in range(3)
+    ]
+    patches = []
+    for x0, x1 in zip(edges[0][:-1].tolist(), edges[0][1:].tolist()):
+        for y0, y1 in zip(edges[1][:-1].tolist(), edges[1][1:].tolist()):
+            for z0, z1 in zip(edges[2][:-1].tolist(), edges[2][1:].tolist()):
+                patches.append(Patch(
+                    Box((x0, y0, z0), (x1, y1, z1)), level=index,
+                    patch_id=len(patches), load_per_cell=_patch_load(rng),
+                ))
+    return Level(index=index, ratio=ratio, patches=patches)
+
+
+def _load_map_corpus():
+    """Hierarchies on the batched path (>= VECTOR_MIN_PATCHES patches):
+    several base patches, a ratio-1 level above the base, patches off the
+    ratio and past the domain, zero loads, and an empty refined level."""
+    rng = np.random.default_rng(1919)
+    many_base = Box((0, 0, 0), (12, 10, 8))
+    ratio1 = Box((2, 1, 3), (12, 9, 9))
+    gapped = Box((0, 0, 0), (9, 7, 5))
+    return [
+        GridHierarchy(domain=many_base, levels=[
+            _tiled_level(rng, 0, 1, (0, 0, 0), (12, 10, 8), (3, 1, 0)),
+            _tiled_level(rng, 1, 2, (3, 2, 2), (19, 17, 13), (4, 3, 1)),
+            _tiled_level(rng, 2, 2, (11, 9, 7), (31, 27, 21), (3, 2, 1)),
+        ]),
+        GridHierarchy(domain=ratio1, levels=[
+            Level(index=0, ratio=1, patches=[Patch(ratio1, level=0, patch_id=0)]),
+            _tiled_level(rng, 1, 1, (3, 2, 4), (11, 8, 8), (2, 1, 1)),
+            _tiled_level(rng, 2, 2, (7, 5, 9), (21, 15, 15), (4, 3, 1)),
+            _tiled_level(rng, 3, 3, (25, 17, 30), (55, 40, 43), (2, 2, 1)),
+        ]),
+        GridHierarchy(domain=gapped, levels=[
+            _tiled_level(rng, 0, 1, (0, 0, 0), (9, 7, 5), (1, 1, 1)),
+            _tiled_level(rng, 1, 2, (1, 1, 1), (15, 13, 9), (3, 2, 1)),
+            Level(index=2, ratio=2),
+            # a region reaching past the domain on every axis
+            _tiled_level(rng, 3, 2, (-9, 30, 20), (90, 70, 50), (3, 2, 1)),
+        ]),
+    ]
+
+
+def _shares_a_base_cell(hierarchy: GridHierarchy) -> bool:
+    """Whether two patches of one refined level land on the same base
+    cell, i.e. the map sums two contributions of one level there."""
+    for lvl in hierarchy.levels[1:]:
+        ratio = hierarchy.cumulative_ratio(lvl.index)
+        if ratio == 1:
+            continue
+        boxes = [p.box.coarsen(ratio) for p in lvl.patches]
+        for k, box in enumerate(boxes):
+            if any(box.intersection(other) for other in boxes[k + 1:]):
+                return True
+    return False
+
+
+def _assert_same_map(hierarchy: GridHierarchy) -> None:
+    got = composite_load_map(hierarchy).values
+    want = ref_workload.composite_values(hierarchy)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 class TestWorkloadDifferential:
     def test_values_match_oracle(self):
         hierarchies = _hierarchy_corpus()
@@ -192,9 +271,29 @@ class TestWorkloadDifferential:
         assert any(h.num_patches < VECTOR_MIN_PATCHES for h in hierarchies)
         assert any(h.num_patches >= VECTOR_MIN_PATCHES for h in hierarchies)
         for hierarchy in hierarchies:
-            got = composite_load_map(hierarchy).values
-            want = ref_workload.composite_values(hierarchy)
-            np.testing.assert_array_equal(got, want)
+            _assert_same_map(hierarchy)
+
+    def test_batched_corpus_matches_oracle(self):
+        corpus = _load_map_corpus()
+        assert all(h.num_patches >= VECTOR_MIN_PATCHES for h in corpus)
+        assert all(_shares_a_base_cell(h) for h in corpus)
+        assert any(len(h.levels[0]) > 1 for h in corpus)
+        assert any(h.cumulative_ratio(1) == 1 for h in corpus)
+        assert any(not lvl.patches for h in corpus for lvl in h.levels)
+        assert any(p.load_per_cell == 0.0 for h in corpus
+                   for lvl in h.levels[1:] for p in lvl)
+        assert any(
+            not h.domain.contains_box(p.box.coarsen(h.cumulative_ratio(lvl.index)))
+            for h in corpus for lvl in h.levels for p in lvl
+        )
+        for hierarchy in corpus:
+            _assert_same_map(hierarchy)
+
+    def test_small_trace_matches_oracle(self, small_rm3d_trace):
+        counts = [s.hierarchy.num_patches for s in small_rm3d_trace]
+        assert min(counts) < VECTOR_MIN_PATCHES <= max(counts)
+        for snap in small_rm3d_trace:
+            _assert_same_map(snap.hierarchy)
 
 
 # -- PAC metric: comm volume, fragment count, refined mask ---------------------
@@ -246,23 +345,25 @@ def _partitioned_cases(hierarchies):
 
 def _cut_cases():
     """Registry partitions at granularity 1, 2 and 3 (clipped edge units)
-    on both curves, plus a single owner and a checkerboard per lattice."""
-    hierarchy = _hierarchy_corpus()[0]
-    for g in (1, 2, 3):
-        for curve in ("hilbert", "morton"):
-            units = build_units(hierarchy, granularity=g, curve=curve)
-            for cls in PARTITIONER_REGISTRY.values():
-                yield cls().partition(units, 7)
-            x, y, z = np.indices(units.grid_shape)
-            for name, lat in (
-                ("single", np.zeros(units.grid_shape, dtype=int)),
-                ("checkerboard", (x + y + z) % 2),
-            ):
-                yield Partition(
-                    units=units, num_procs=2,
-                    assignment=lat.ravel()[units.lattice_index],
-                    partitioner_name=name,
-                )
+    on both curves, plus a single owner and a checkerboard per lattice,
+    on a domain at the origin and an offset one."""
+    for hierarchy, g, curve in itertools.product(
+        (_hierarchy_corpus()[0], _clipped_hierarchy()), (1, 2, 3),
+        ("hilbert", "morton"),
+    ):
+        units = build_units(hierarchy, granularity=g, curve=curve)
+        for cls in PARTITIONER_REGISTRY.values():
+            yield cls().partition(units, 7)
+        x, y, z = np.indices(units.grid_shape)
+        for name, lat in (
+            ("single", np.zeros(units.grid_shape, dtype=int)),
+            ("checkerboard", (x + y + z) % 2),
+        ):
+            yield Partition(
+                units=units, num_procs=2,
+                assignment=lat.ravel()[units.lattice_index],
+                partitioner_name=name,
+            )
 
 
 def _assert_metrics_match(part: Partition) -> None:
@@ -303,20 +404,47 @@ class TestMetricDifferential:
             _assert_metrics_match(part)
 
     def test_lattice_cut_is_the_owner_mask(self):
-        """The lattice-found cut pairs are the all-pairs owner mask."""
+        """The lattice-found cut record is the all-pairs owner mask, with
+        the oracles' face areas and densities, byte for byte."""
         checked = set()
+        offset = clipped = False
         for part in _cut_cases():
-            i, j, _ = part.units.adjacency_arrays()
+            units = part.units
+            i, j, axis = units.adjacency_arrays()
+            shapes = units.unit_shapes()
             want = np.flatnonzero(part.assignment[i] != part.assignment[j])
+            # as the oracles form them, over all pairs
+            cells = shapes.prod(axis=1).astype(float)
+            dens = units.loads / np.maximum(cells, 1.0)
+            other = np.array([[1, 2], [0, 2], [0, 1]])[axis]
+            rows = np.arange(axis.size)
+            face = (
+                np.minimum(shapes[i][rows, other[:, 0]],
+                           shapes[j][rows, other[:, 0]])
+                * np.minimum(shapes[i][rows, other[:, 1]],
+                             shapes[j][rows, other[:, 1]])
+            ).astype(float)
             cut = part.cut()
-            np.testing.assert_array_equal(cut.pairs, want)
-            np.testing.assert_array_equal(cut.owner_i, part.assignment[i[want]])
-            np.testing.assert_array_equal(cut.owner_j, part.assignment[j[want]])
+            for got, expected in (
+                (cut.pairs, want),
+                (cut.owner_i, part.assignment[i[want]]),
+                (cut.owner_j, part.assignment[j[want]]),
+                (cut.face, face[want]),
+                (cut.density, dens[i[want]] + dens[j[want]]),
+            ):
+                assert got.dtype == expected.dtype
+                assert got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes()
             checked.add(part.partitioner_name)
             if part.partitioner_name == "single":
                 assert cut.pairs.size == 0
+            offset |= any(units.domain.lo)
+            clipped |= any(
+                n % units.granularity for n in units.domain.shape
+            )
         assert {"single", "checkerboard"} <= checked
         assert set(PARTITIONER_REGISTRY) <= checked
+        assert offset and clipped
 
     def test_assignment_is_read_only(self):
         part = next(_partitioned_cases(_hierarchy_corpus()[:1]))

@@ -1,5 +1,7 @@
 """Tests for the fault-tolerance subsystem (repro.resilience)."""
 
+import hashlib
+import json
 import math
 
 import pytest
@@ -13,6 +15,7 @@ from repro.agents import (
 )
 from repro.agents.component import ComponentState
 from repro.config import SimulatorOptions
+from repro.core.meta_partitioner import MetaPartitioner
 from repro.execsim import ExecutionSimulator, StaticSelector
 from repro.gridsys import (
     FailureEvent,
@@ -498,3 +501,34 @@ class TestCheckpointAliasing:
                 ),
             ).run(small_rm3d_trace, StaticSelector(ISPPartitioner()))
         assert captured == [True, False]
+
+    def test_replay_never_mutates_snapshots(self, small_rm3d_trace):
+        """Incremental replay only diffs snapshots: a fault-tolerant
+        replay with recoveries leaves every snapshot as it found it, with
+        the reuse cache on or off, and both give the same result."""
+
+        def snapshots() -> list[str]:
+            return [json.dumps(s.to_dict(), sort_keys=True)
+                    for s in small_rm3d_trace]
+
+        def result_digest(res) -> str:
+            payload = repr((
+                res.records, res.useful_work, res.ghost_work,
+                res.proc_work.tobytes(), res.recovery_events,
+            ))
+            return hashlib.sha256(payload.encode()).hexdigest()
+
+        before = snapshots()
+        digests = []
+        for incremental in (True, False):
+            cluster = sp2_blue_horizon(8)
+            cluster.failures.events.extend(FailureSchedule.poisson(
+                num_nodes=8, horizon=3000.0, mtbf=250.0, mttr=40.0, seed=11,
+            ).events)
+            res = ExecutionSimulator(cluster, options=SimulatorOptions(
+                fault_tolerance=FaultTolerance(), incremental=incremental,
+            )).run(small_rm3d_trace, MetaPartitioner())
+            assert res.num_recoveries >= 1
+            assert snapshots() == before
+            digests.append(result_digest(res))
+        assert digests[0] == digests[1]

@@ -1,8 +1,8 @@
 """The process-wide unit-geometry memo of ``repro.partitioners.units``.
 
-Adjacency pairs and unit shapes are memoized per
-``(domain, granularity, curve)``; the memo is bounded by a byte budget
-and shared by the server's worker threads.
+Adjacency pairs, their face areas and the units' cell counts are
+memoized per ``(domain, granularity, curve)``; the memo is bounded by a
+byte budget and shared by the server's worker threads.
 """
 
 from __future__ import annotations
@@ -46,28 +46,42 @@ def fresh_memo():
 
 
 def test_one_entry_serves_adjacency_and_shapes():
-    u = _units(8)
+    u = _units(8, granularity=3)
     i, j, axis = u.adjacency_arrays()
-    assert u.unit_shapes() is units_mod._GEOMETRY_MEMO[
-        (u.domain, u.granularity, u.curve)
-    ].shapes
+    geo = u.pair_geometry()
+    assert geo is units_mod._GEOMETRY_MEMO[(u.domain, u.granularity, u.curve)]
+    assert geo.i is i and geo.j is j
     assert len(units_mod._GEOMETRY_MEMO) == 1
     # a second units object over the same lattice shares the entry
-    v = _units(8)
+    v = _units(8, granularity=3)
+    assert v.pair_geometry() is geo
     assert v.adjacency_arrays()[0] is i
-    for arr in (i, j, axis, u.unit_shapes()):
+    for arr in (geo.i, geo.j, geo.face, geo.cells):
         assert not arr.flags.writeable
+    # shapes are built per call, not held, and agree with the memo's
+    # cell counts (tests/test_kernels.py checks the face areas)
+    shapes = u.unit_shapes()
+    assert shapes is not u.unit_shapes()
+    assert np.array_equal(geo.cells, shapes.prod(axis=1).astype(float))
     clear_adjacency_memo()
     assert not units_mod._GEOMETRY_MEMO
 
 
+def test_reference_entry_size():
+    """The reference lattice's entry holds i, j, face and cells only:
+    10,264,576 bytes, against 12,361,728 with (i, j, axis, shapes)."""
+    domain = Box((0, 0, 0), (128, 32, 32))
+    u = build_units(WorkloadMap(domain, np.ones(domain.shape)), granularity=1)
+    assert u.pair_geometry().nbytes <= 12_361_728
+
+
 def test_memo_stays_within_byte_budget(monkeypatch):
-    entry = _units(40)._geometry().nbytes
+    entry = _units(40).pair_geometry().nbytes
     budget = 5 * entry
     monkeypatch.setattr(units_mod, "_GEOMETRY_MEMO_BYTES", budget)
     clear_adjacency_memo()
     for nx in range(20, 60):
-        _units(nx).adjacency_arrays()
+        _units(nx).pair_geometry()
         assert _memo_bytes() <= budget
     # FIFO: the newest lattice survives, the oldest was evicted
     keys = [key[0].hi[0] for key in units_mod._GEOMETRY_MEMO]
@@ -76,14 +90,14 @@ def test_memo_stays_within_byte_budget(monkeypatch):
     monkeypatch.setattr(units_mod, "_GEOMETRY_MEMO_BYTES", 100)
     clear_adjacency_memo()
     big = _units(30)
-    assert big.unit_shapes().prod(axis=1).sum() == 30 * 3 * 2
+    assert big.pair_geometry().cells.sum() == 30 * 3 * 2
     assert not units_mod._GEOMETRY_MEMO
 
 
 def test_concurrent_workers_share_the_memo(monkeypatch):
     # a budget of a few entries keeps every thread evicting
     monkeypatch.setattr(
-        units_mod, "_GEOMETRY_MEMO_BYTES", 4 * _units(40)._geometry().nbytes
+        units_mod, "_GEOMETRY_MEMO_BYTES", 4 * _units(40).pair_geometry().nbytes
     )
     clear_adjacency_memo()
     lattices = [(nx, curve) for nx in range(2, 38) for curve in ("hilbert", "morton")]
@@ -98,7 +112,7 @@ def test_concurrent_workers_share_the_memo(monkeypatch):
                 nx, curve = lattices[(k + offset) % len(lattices)]
                 u = _units(nx, curve=curve)
                 i, j, axis = u.adjacency_arrays()
-                assert u.unit_shapes().prod(axis=1).sum() == nx * 3 * 2
+                assert u.pair_geometry().cells.sum() == nx * 3 * 2
                 assert i.size == (nx - 1) * 6 + nx * 2 * 2 + nx * 3
         except BaseException as exc:  # pragma: no cover - failure path
             errors.append(exc)
@@ -114,13 +128,13 @@ def test_concurrent_workers_share_the_memo(monkeypatch):
 
 def test_replay_misses_once_per_lattice(monkeypatch, small_rm3d_trace):
     keys: set = set()
-    geometry = CompositeUnits._geometry
+    geometry = CompositeUnits.pair_geometry
 
     def spy(self):
         keys.add((self.domain, self.granularity, self.curve))
         return geometry(self)
 
-    monkeypatch.setattr(CompositeUnits, "_geometry", spy)
+    monkeypatch.setattr(CompositeUnits, "pair_geometry", spy)
     with obs.collect() as window:
         ExecutionSimulator(sp2_blue_horizon(8), 8).run(
             small_rm3d_trace, MetaPartitioner()
