@@ -15,9 +15,7 @@ to wire together by hand.  This module consolidates both:
 - :class:`RuntimeConfig` composes the detector, delivery, checkpoint and
   simulator knobs into one document-shaped object with factory methods
   (:meth:`RuntimeConfig.fault_tolerance`,
-  :meth:`RuntimeConfig.build_simulator`,
-  :meth:`RuntimeConfig.build_message_center`,
-  :meth:`RuntimeConfig.build_detector`, :meth:`RuntimeConfig.build_server`)
+  :meth:`RuntimeConfig.build_simulator`, :meth:`RuntimeConfig.build_server`)
   so one object configures a whole run.
 
 Both classes are part of the stable public surface (:mod:`repro.api`).
@@ -208,20 +206,6 @@ class RuntimeConfig:
         from repro.execsim.simulator import ExecutionSimulator
 
         return ExecutionSimulator(cluster, options=self.simulator_options())
-
-    def build_message_center(self, **kwargs):
-        """A :class:`~repro.agents.message_center.MessageCenter` using
-        this config's :class:`DeliveryPolicy`."""
-        from repro.agents.message_center import MessageCenter
-
-        return MessageCenter(self.delivery, **kwargs)
-
-    def build_detector(self, cluster, **kwargs):
-        """A :class:`~repro.resilience.detector.FailureDetector` on
-        ``cluster`` using this config's :class:`DetectorConfig`."""
-        from repro.resilience.detector import FailureDetector
-
-        return FailureDetector(cluster, self.detector, **kwargs)
 
     def build_server(self, **kwargs):
         """A :class:`~repro.serve.server.ScenarioServer` whose retry

@@ -140,22 +140,14 @@ class RunResult:
     def aggregate_imbalance_pct(self) -> float:
         """Imbalance of total per-processor work accumulated over the run.
 
-        This is the Table 4 "Max. Load Imbalance" column: how unevenly the
-        whole run's work ended up distributed.  It rewards strategies whose
-        instantaneous skews cancel over time — notably adaptive switching,
-        which is why the paper's adaptive row (8.1 %) beats even
-        G-MISP+SP (11.3 %).
+        How unevenly the whole run's work ended up distributed, not a
+        per-interval figure (that is :attr:`mean_imbalance_pct`, the Table
+        4 column).  It rewards strategies whose instantaneous skews cancel
+        over time, such as adaptive switching.
         """
         if self.proc_work is None or self.proc_work.sum() == 0:
             return 0.0
         return max_load_imbalance_pct(self.proc_work)
-
-    @property
-    def peak_imbalance_pct(self) -> float:
-        """Worst single-interval imbalance over the run."""
-        if not self.records:
-            return 0.0
-        return float(max(r.imbalance_pct for r in self.records))
 
     @property
     def amr_efficiency_pct(self) -> float:
@@ -206,6 +198,37 @@ class RunResult:
         for r in self.records:
             out[r.label] = out.get(r.label, 0) + 1
         return out
+
+
+def _step_time(
+    loads: np.ndarray,
+    speeds: np.ndarray,
+    comm_per_step: np.ndarray,
+    overlap: float,
+) -> tuple[float, float]:
+    """One coarse step's (compute share, exposed comm share) in seconds.
+
+    Latency-tolerant communication overlaps a configured fraction of ghost
+    exchange with computation, but a step never completes before its
+    communication does.
+    """
+    comp = np.zeros(len(loads))
+    np.divide(loads, speeds, out=comp, where=loads > 0)
+    exposed = comp + (1.0 - overlap) * comm_per_step
+    step_total = float(
+        max(np.max(exposed), float(np.max(comm_per_step, initial=0.0)))
+    )
+    comp_share = float(np.max(comp))
+    return comp_share, max(step_total - comp_share, 0.0)
+
+
+@dataclass(frozen=True, slots=True)
+class _Rollback:
+    """A fault-tolerant run's recovery policy, detector and checkpoints."""
+
+    ft: FaultTolerance
+    detector: FailureDetector
+    store: CheckpointStore
 
 
 class ExecutionSimulator:
@@ -299,25 +322,20 @@ class ExecutionSimulator:
             total_steps = steps[-1] + interval
 
         ft = self._resolve_fault_tolerance()
-        resilient = ft is not None and bool(
-            self.cluster.failures.events or self.cluster.failures.degraded
-        )
-        detector = (
-            FailureDetector(self.cluster, ft.detector) if resilient else None
-        )
         # Replay never mutates a snapshot (the reuse cache only diffs
-        # successive hierarchies), so aliasing checkpoints would be safe;
-        # the deep copy under incremental replay is redundant.
+        # successive hierarchies), so checkpoints alias the trace's.
         if ft is None:
             ckpt_store = None
         elif ft.checkpoint_dir is not None:
-            ckpt_store = DurableCheckpointStore(
-                ft.checkpoint_dir, ft.checkpoint, deep_copy=self.incremental
-            )
+            ckpt_store = DurableCheckpointStore(ft.checkpoint_dir, ft.checkpoint)
         else:
-            ckpt_store = CheckpointStore(
-                ft.checkpoint, deep_copy=self.incremental
-            )
+            ckpt_store = CheckpointStore(ft.checkpoint)
+        faults = self.cluster.failures
+        rollback = (
+            _Rollback(ft, FailureDetector(self.cluster, ft.detector), ckpt_store)
+            if ft is not None and (faults.events or faults.degraded)
+            else None
+        )
 
         result = RunResult(proc_work=np.zeros(self.num_procs))
         prev_partition: Partition | None = None
@@ -341,21 +359,12 @@ class ExecutionSimulator:
                 # detector re-admits at least one processor.
                 pre_stall = 0.0
                 live: list[int] | None = None
-                if resilient:
-                    live = detector.live_nodes(sim_time)
+                if rollback is not None:
+                    live = rollback.detector.live_nodes(sim_time)
                     if not live:
-                        t_ret = min(
-                            detector.next_evictable_alive(p, sim_time)
-                            for p in range(self.num_procs)
-                        )
-                        if math.isinf(t_ret):
-                            raise RuntimeError(
-                                "all processors failed permanently; the run "
-                                "cannot recover"
-                            )
+                        t_ret, live = self._readmit(rollback.detector, sim_time)
                         pre_stall = t_ret - sim_time
                         sim_time = t_ret
-                        live = detector.live_nodes(sim_time)
 
                 with obs.span("partition", partitioner=label):
                     if reuse_cache is not None:
@@ -370,8 +379,8 @@ class ExecutionSimulator:
                             curve="hilbert",
                         )
                     weights = (
-                        self._degraded_weights(detector, sim_time)
-                        if resilient
+                        self._degraded_weights(rollback.detector, sim_time)
+                        if rollback is not None
                         else None
                     )
                     partition = self._partition_over(
@@ -392,45 +401,29 @@ class ExecutionSimulator:
                         "checkpoint", t=interval_t0, step=snap.step,
                         seconds=checkpoint_t,
                     )
-                costs = None
-                recovery_t = 0.0
-                recs: list[RecoveryRecord] = []
-                if resilient:
-                    (
-                        comp_t,
-                        comm_t,
-                        ghost,
-                        recovery_t,
-                        partition,
-                        recs,
-                        live,
-                    ) = self._interval_cost_resilient(
-                        partition,
-                        snap,
-                        decision,
-                        units,
-                        coarse_steps,
-                        sim_time + checkpoint_t,
-                        live,
-                        detector,
-                        ckpt_store,
-                        ft,
+                # Fault-tolerant replay runs the steps after the checkpoint;
+                # plain replay from the interval start.
+                t0 = sim_time if rollback is None else sim_time + checkpoint_t
+                comp_t, comm_t, ghost, recovery_t, partition, recs, live = (
+                    self._interval_cost(
+                        partition, snap, coarse_steps, t0, rollback,
+                        decision=decision, units=units, live=live,
                     )
-                    costs = (comp_t, comm_t, ghost)
-                    recovery_t += pre_stall
-                    result.recovery_events.extend(recs)
-                    for rec in recs:
-                        tl.event(
-                            "recovery", t=rec.t_detected, step=snap.step,
-                            failed_nodes=[int(p) for p in rec.failed_nodes],
-                            detection_lag_s=rec.detection_lag,
-                            steps_lost=rec.steps_lost,
-                        )
+                )
+                recovery_t += pre_stall
+                result.recovery_events.extend(recs)
+                for rec in recs:
+                    tl.event(
+                        "recovery", t=rec.t_detected, step=snap.step,
+                        failed_nodes=[int(p) for p in rec.failed_nodes],
+                        detection_lag_s=rec.detection_lag,
+                        steps_lost=rec.steps_lost,
+                    )
                 record = self.commit_interval(
                     result, snap, partition, metrics,
                     label=label, octant=decision.octant,
                     coarse_steps=coarse_steps, start_time=interval_t0,
-                    costs=costs, checkpoint_time=checkpoint_t,
+                    costs=(comp_t, comm_t, ghost), checkpoint_time=checkpoint_t,
                     recovery_time=recovery_t, recoveries=len(recs), live=live,
                 )
                 sim_time += record.total_time
@@ -460,16 +453,16 @@ class ExecutionSimulator:
         The one place a :class:`StepRecord` is built: it appends the record,
         adds the interval's per-processor, useful and ghost work, and hands
         the same record to the current obs timeline.  ``costs`` is the
-        ``(compute, comm, ghost)`` triple the fault-tolerant path already
-        integrated; ``None`` integrates the interval from ``start_time``.
+        ``(compute, comm, ghost)`` triple replay already integrated;
+        ``None`` integrates the interval from ``start_time``.
         ``repartitioned=False`` (a carried-forward decomposition) charges
         no regrid cost.  ``live`` is the detector's live set under
         fault-tolerant replay.
         """
         if costs is None:
             costs = self._interval_cost(
-                partition, snap.hierarchy, coarse_steps, start_time
-            )
+                partition, snap, coarse_steps, start_time
+            )[:3]
         comp_t, comm_t, ghost = costs
         partition_t, regrid_t = (
             self._regrid_cost(metrics, partition, snap)
@@ -577,18 +570,8 @@ class ExecutionSimulator:
             if caps.sum() <= 0:
                 caps = None
         sub = decision.partitioner.partition(units, len(live_arr), caps)
-        params = dict(sub.params)
-        params["degraded"] = True
-        params["live_procs"] = [int(p) for p in live_arr]
         obs.counter("resilience.degraded_partitions").inc()
-        return Partition(
-            units=units,
-            num_procs=self.num_procs,
-            assignment=live_arr[sub.assignment],
-            partitioner_name=sub.partitioner_name,
-            partition_time=sub.partition_time,
-            params=params,
-        )
+        return self._on_survivors(sub, live_arr, degraded=True)
 
     def _weighted_partition(
         self,
@@ -617,212 +600,159 @@ class ExecutionSimulator:
         if caps.sum() <= 0:
             caps = np.ones(len(live_arr))
         sub = HeterogeneousPartitioner().partition(units, len(live_arr), caps)
-        params = dict(sub.params)
-        params["degraded_downweight"] = True
-        params["live_procs"] = [int(p) for p in live_arr]
-        params["capacity_weights"] = [float(w) for w in weights[live_arr]]
+        flags = {
+            "degraded_downweight": True,
+            "capacity_weights": [float(w) for w in weights[live_arr]],
+        }
         obs.counter("resilience.degraded_downweights").inc()
         if len(live_arr) < self.num_procs:
-            params["degraded"] = True
+            flags["degraded"] = True
             obs.counter("resilience.degraded_partitions").inc()
+        return self._on_survivors(sub, live_arr, **flags)
+
+    def _on_survivors(
+        self, sub: Partition, live_arr: np.ndarray, **flags
+    ) -> Partition:
+        """Map ``sub``, a partition over ``len(live_arr)`` processors, back
+        to global processor ids; ``flags`` are added to its params."""
         return Partition(
-            units=units,
+            units=sub.units,
             num_procs=self.num_procs,
             assignment=live_arr[sub.assignment],
             partitioner_name=sub.partitioner_name,
             partition_time=sub.partition_time,
-            params=params,
+            params={
+                **sub.params, **flags, "live_procs": [int(p) for p in live_arr]
+            },
         )
 
+    def _readmit(
+        self, detector: FailureDetector, t: float
+    ) -> tuple[float, list[int]]:
+        """Wait out a total blackout: the first time at or after ``t`` the
+        detector re-admits a processor, and the live set then."""
+        t_ret = min(
+            detector.next_evictable_alive(p, t) for p in range(self.num_procs)
+        )
+        if math.isinf(t_ret):
+            raise RuntimeError(
+                "all processors failed permanently; the run cannot recover"
+            )
+        return t_ret, detector.live_nodes(t_ret)
+
     # -- cost integration ------------------------------------------------------------
+
+    def _speeds(self, t: float) -> np.ndarray:
+        """Per-processor effective speeds at ``t``."""
+        return np.array(
+            [self.cluster.effective_speed(p, t) for p in range(self.num_procs)]
+        )
 
     def _interval_cost(
         self,
         partition: Partition,
-        hierarchy,
-        coarse_steps: int,
-        t0: float,
-    ) -> tuple[float, float, float]:
-        """(compute seconds, comm seconds, ghost work per coarse step)."""
-        with obs.span("interval_cost", coarse_steps=coarse_steps):
-            return self._interval_cost_inner(
-                partition, hierarchy, coarse_steps, t0
-            )
-
-    def _interval_cost_inner(
-        self,
-        partition: Partition,
-        hierarchy,
-        coarse_steps: int,
-        t0: float,
-    ) -> tuple[float, float, float]:
-        cost = self.cost
-        loads = partition.proc_loads()
-        comm_per_step, ghost_work = per_step_comm_times(
-            partition, cost, self.cluster.link.bandwidth
-        )
-        ghost_work += cost.intra_ghost_factor * hierarchy.load_per_coarse_step()
-
-        # Integrate per coarse step with time-varying effective speeds.
-        # Latency-tolerant communication overlaps a configured fraction of
-        # ghost exchange with computation, but a step never completes
-        # before its communication does.
-        overlap = cost.comm_overlap
-        total_comp = 0.0
-        total_comm = 0.0
-        t = t0
-        static_speeds = (
-            self.cluster.loadgen is None
-            and not self.cluster.failures.events
-            and not self.cluster.failures.degraded
-        )
-
-        def step_times(speeds: np.ndarray) -> tuple[float, float]:
-            comp = np.zeros(self.num_procs)
-            np.divide(loads, speeds, out=comp, where=loads > 0)
-            exposed = comp + (1.0 - overlap) * comm_per_step
-            step_total = float(
-                max(np.max(exposed), float(np.max(comm_per_step, initial=0.0)))
-            )
-            comp_share = float(np.max(comp))
-            return comp_share, max(step_total - comp_share, 0.0)
-
-        if static_speeds:
-            speeds = np.array(
-                [
-                    self.cluster.effective_speed(p, t)
-                    for p in range(self.num_procs)
-                ]
-            )
-            comp_share, comm_share = step_times(speeds)
-            total_comp = comp_share * coarse_steps
-            total_comm = comm_share * coarse_steps
-        else:
-            failures = self.cluster.failures
-            for _ in range(coarse_steps):
-                # Without fault tolerance a failed owner stalls the step
-                # until its node is repaired (no rollback, no migration);
-                # the wait is charged as exposed communication time.  The
-                # fault-tolerant path in run() never reaches this code.
-                while True:
-                    speeds = np.array(
-                        [
-                            self.cluster.effective_speed(p, t)
-                            for p in range(self.num_procs)
-                        ]
-                    )
-                    dead = (loads > 0) & (speeds <= 0.0)
-                    if not dead.any():
-                        break
-                    t_next = min(
-                        failures.next_alive_time(int(p), t)
-                        for p in np.nonzero(dead)[0]
-                    )
-                    if math.isinf(t_next):
-                        raise RuntimeError(
-                            "processors "
-                            f"{np.nonzero(dead)[0].tolist()} failed "
-                            "permanently during trace replay with fault "
-                            "tolerance disabled; enable fault tolerance "
-                            "(repro.resilience.FaultTolerance) to recover"
-                        )
-                    if t_next <= t:
-                        # Node is up but starved (background load at 1.0):
-                        # re-check after a beat.
-                        t_next = t + 1.0
-                    total_comm += t_next - t
-                    t = t_next
-                comp_share, comm_share = step_times(speeds)
-                total_comp += comp_share
-                total_comm += comm_share
-                t += comp_share + comm_share
-        return total_comp, total_comm, ghost_work
-
-    def _interval_cost_resilient(
-        self,
-        partition: Partition,
         snap,
-        decision: SelectorDecision,
-        units,
         coarse_steps: int,
         t0: float,
-        live: list[int],
-        detector: FailureDetector,
-        ckpt_store: CheckpointStore,
-        ft: FaultTolerance,
+        rollback: _Rollback | None = None,
+        *,
+        decision: SelectorDecision | None = None,
+        units=None,
+        live: list[int] | None = None,
     ) -> tuple[
-        float, float, float, float, Partition, list[RecoveryRecord], list[int]
+        float, float, float, float, Partition, list[RecoveryRecord],
+        list[int] | None,
     ]:
-        """Fault-tolerant interval execution.
+        """Integrate one regrid interval's coarse steps from ``t0``.
 
-        Runs the interval's coarse steps with failure detection at every
-        step boundary.  An *evictable* failure (one that outlasted both
-        the lease and the eviction hysteresis) rolls the interval back to
-        the checkpoint taken at its regrid boundary, redistributes over
-        the survivors, and re-executes; an undeclared or merely-suspect
-        outage (lease not expired, hysteresis still accruing, or a blip
-        too short to ever cross either line) stalls execution instead —
-        that is what bounds flap-induced rollbacks.  Returns ``(compute,
-        comm, ghost, recovery seconds, final partition, recovery records,
-        final live set)`` — compute/comm cover only the committed attempt.
+        The simulator's one coarse-step loop, shared by plain replay, the
+        online loop and fault-tolerant replay.  Each step runs at the
+        speeds the cluster offers at its start.  A step whose owner sits
+        on a down node waits instead, and only that wait depends on
+        ``rollback``:
+
+        - without it the step stalls until the node is repaired (no
+          rollback, no migration) and the wait is charged as exposed
+          communication; a permanent failure raises;
+        - with it an *evictable* failure (one that outlasted both the
+          lease and the eviction hysteresis) rolls the interval back to
+          the checkpoint taken at its regrid boundary, repartitions
+          ``units`` under ``decision`` over the survivors and
+          re-executes; an undeclared or merely-suspect outage (lease not
+          expired, hysteresis still accruing, or a blip too short to ever
+          cross either line) stalls execution until the eviction fires or
+          the node returns, charged as recovery — that is what bounds
+          flap-induced rollbacks.
+
+        Returns ``(compute, comm, ghost work per coarse step, recovery
+        seconds, final partition, recovery records, final live set)`` —
+        compute/comm cover only the committed attempt.
         """
         cost = self.cost
-        overlap = cost.comm_overlap
         failures = self.cluster.failures
-        hierarchy = snap.hierarchy
-        intra_ghost = cost.intra_ghost_factor * hierarchy.load_per_coarse_step()
+        intra_ghost = (
+            cost.intra_ghost_factor * snap.hierarchy.load_per_coarse_step()
+        )
 
         def prepare(p: Partition):
-            loads = p.proc_loads()
             comm_per_step, ghost = per_step_comm_times(
                 p, cost, self.cluster.link.bandwidth
             )
-            return loads, comm_per_step, ghost + intra_ghost
+            return p.proc_loads(), comm_per_step, ghost + intra_ghost
 
-        loads, comm_per_step, ghost = prepare(partition)
-        live = sorted(live)
-        t = t0
-        steps_done = 0
-        attempt_comp = attempt_comm = attempt_stall = 0.0
-        recovery_seconds = 0.0
-        records: list[RecoveryRecord] = []
+        with obs.span("interval_cost", coarse_steps=coarse_steps):
+            loads, comm_per_step, ghost = prepare(partition)
+            # Constant speeds: every step costs the same.  Multiplying,
+            # not summing, keeps the replayed totals' last bits.
+            if (
+                self.cluster.loadgen is None
+                and not failures.events
+                and not failures.degraded
+            ):
+                comp_share, comm_share = _step_time(
+                    loads, self._speeds(t0), comm_per_step, cost.comm_overlap
+                )
+                return (
+                    comp_share * coarse_steps, comm_share * coarse_steps,
+                    ghost, 0.0, partition, [], live,
+                )
 
-        with obs.span("interval_cost_resilient", coarse_steps=coarse_steps):
+            t = t0
+            steps_done = 0
+            comp_t = comm_t = stall_t = 0.0
+            recovery_t = 0.0
+            records: list[RecoveryRecord] = []
             while steps_done < coarse_steps:
-                dead = [p for p in live if detector.evictable_down(p, t)]
+                dead = (
+                    [p for p in live if rollback.detector.evictable_down(p, t)]
+                    if rollback is not None
+                    else []
+                )
                 if dead:
-                    if len(records) >= ft.max_recoveries_per_interval:
+                    if len(records) >= rollback.ft.max_recoveries_per_interval:
                         raise RuntimeError(
                             f"livelock at step {snap.step}: "
                             f"{len(records)} recoveries within one regrid "
                             "interval; failures arrive faster than the "
                             "interval can be re-executed"
                         )
+                    detector = rollback.detector
                     t_detected = t
                     lag = max(
                         t - detector.true_fail_time(p, t) for p in dead
                     )
-                    wasted = attempt_comp + attempt_comm + attempt_stall
+                    wasted = comp_t + comm_t + stall_t
                     steps_lost = steps_done
-                    attempt_comp = attempt_comm = attempt_stall = 0.0
+                    comp_t = comm_t = stall_t = 0.0
                     steps_done = 0
-                    _, restore_s = ckpt_store.restore()
+                    _, restore_s = rollback.store.restore()
                     t += restore_s
                     live = [p for p in live if p not in dead]
                     blackout = 0.0
                     if not live:
-                        t_ret = min(
-                            detector.next_evictable_alive(p, t)
-                            for p in range(self.num_procs)
-                        )
-                        if math.isinf(t_ret):
-                            raise RuntimeError(
-                                "all processors failed permanently; the "
-                                "run cannot recover"
-                            )
+                        t_ret, live = self._readmit(detector, t)
                         blackout = t_ret - t
                         t = t_ret
-                        live = detector.live_nodes(t)
                     prev = partition
                     partition = self._partition_over(
                         decision, units, live,
@@ -833,7 +763,7 @@ class ExecutionSimulator:
                         repart_metrics, partition, snap
                     )
                     t += repart_s
-                    recovery_seconds += wasted + restore_s + blackout + repart_s
+                    recovery_t += wasted + restore_s + blackout + repart_s
                     loads, comm_per_step, ghost = prepare(partition)
                     record = RecoveryRecord(
                         step=snap.step,
@@ -857,62 +787,52 @@ class ExecutionSimulator:
                     )
                     continue
 
-                speeds = np.array(
-                    [
-                        self.cluster.effective_speed(p, t)
-                        for p in range(self.num_procs)
-                    ]
-                )
-                stalled = [p for p in live if loads[p] > 0 and speeds[p] <= 0.0]
-                if stalled:
-                    # Outage that is not yet evictable — lease unexpired,
-                    # hysteresis still accruing, or a blip too short to
-                    # ever cross the eviction line: work pauses until the
-                    # eviction fires or the node returns.  A node that
-                    # returns first is a suppressed flap, not a rollback.
-                    t_fire = min(
-                        detector.eviction_fire_time(p, t) for p in stalled
-                    )
-                    t_back = min(
-                        failures.next_alive_time(p, t) for p in stalled
-                    )
-                    t_wake = min(t_fire, t_back)
-                    if t_back < t_fire:
-                        obs.counter("resilience.flap_suppressed").inc()
+                speeds = self._speeds(t)
+                blocked = np.nonzero((loads > 0) & (speeds <= 0.0))[0].tolist()
+                if blocked:
+                    t_back = min(failures.next_alive_time(p, t) for p in blocked)
+                    if rollback is None:
+                        if math.isinf(t_back):
+                            raise RuntimeError(
+                                f"processors {blocked} failed permanently "
+                                "during trace replay with fault tolerance "
+                                "disabled; enable fault tolerance "
+                                "(repro.resilience.FaultTolerance) to recover"
+                            )
+                        t_wake, beat = t_back, 1.0
+                    else:
+                        # A node that returns before its eviction fires is
+                        # a suppressed flap, not a rollback.
+                        t_fire = min(
+                            rollback.detector.eviction_fire_time(p, t)
+                            for p in blocked
+                        )
+                        if t_back < t_fire:
+                            obs.counter("resilience.flap_suppressed").inc()
+                        t_wake = min(t_fire, t_back)
+                        beat = rollback.detector.config.heartbeat_period
                     if t_wake <= t:
-                        t_wake = t + detector.config.heartbeat_period
-                    attempt_stall += t_wake - t
-                    obs.counter("resilience.stall_seconds").inc(t_wake - t)
+                        # Node is up but starved: re-check after a beat.
+                        t_wake = t + beat
+                    if rollback is None:
+                        comm_t += t_wake - t
+                    else:
+                        stall_t += t_wake - t
+                        obs.counter("resilience.stall_seconds").inc(t_wake - t)
                     t = t_wake
                     continue
 
-                comp = np.zeros(self.num_procs)
-                np.divide(loads, speeds, out=comp, where=loads > 0)
-                exposed = comp + (1.0 - overlap) * comm_per_step
-                step_total = float(
-                    max(
-                        np.max(exposed),
-                        float(np.max(comm_per_step, initial=0.0)),
-                    )
+                comp_share, comm_share = _step_time(
+                    loads, speeds, comm_per_step, cost.comm_overlap
                 )
-                comp_share = float(np.max(comp))
-                comm_share = max(step_total - comp_share, 0.0)
-                attempt_comp += comp_share
-                attempt_comm += comm_share
+                comp_t += comp_share
+                comm_t += comm_share
                 t += comp_share + comm_share
                 steps_done += 1
 
         # Transient stalls of the committed attempt are overhead, not work.
-        recovery_seconds += attempt_stall
-        return (
-            attempt_comp,
-            attempt_comm,
-            ghost,
-            recovery_seconds,
-            partition,
-            records,
-            live,
-        )
+        recovery_t += stall_t
+        return comp_t, comm_t, ghost, recovery_t, partition, records, live
 
     def _regrid_cost(
         self, metrics: PACMetrics, partition: Partition, snap

@@ -80,12 +80,10 @@ class CheckpointStore:
         cost_model: CheckpointCostModel | None = None,
         *,
         keep: int = 2,
-        deep_copy: bool = False,
     ) -> None:
         if keep < 1:
             raise ValueError(f"keep must be >= 1, got {keep}")
         self.cost = cost_model or CheckpointCostModel()
-        self.deep_copy = deep_copy
         self._checkpoints: deque[Checkpoint] = deque(maxlen=keep)
         self.saved = 0
         self.restored = 0
@@ -103,21 +101,17 @@ class CheckpointStore:
     ) -> tuple[Checkpoint, float]:
         """Take a coordinated checkpoint; returns it and the seconds charged.
 
-        With ``deep_copy=True`` the hierarchy is copied; with the default
-        ``deep_copy=False`` the checkpoint *aliases* the caller's object.
-        Aliasing is only safe when the caller never mutates the hierarchy
-        after saving: an aliased checkpoint would silently track the
-        mutations and a later restore would return post-failure state
-        instead of the state at save time.  Trace replay, incremental or
-        not, never mutates a snapshot (the reuse cache only diffs
-        successive hierarchies); the execution simulator still passes
-        ``deep_copy=True`` whenever ``incremental=True``.
+        The checkpoint *aliases* ``hierarchy``, so the caller must never
+        mutate a hierarchy after saving it: a later restore would return
+        post-failure state instead of the state at save time.  Trace
+        replay never mutates a snapshot (the reuse cache only diffs
+        successive hierarchies).
         """
         ck = Checkpoint(
             step=step,
             sim_time=sim_time,
             num_cells=hierarchy.total_cells,
-            hierarchy=hierarchy.copy() if self.deep_copy else hierarchy,
+            hierarchy=hierarchy,
         )
         self._checkpoints.append(ck)
         self.saved += 1

@@ -78,9 +78,8 @@ class DurableCheckpointStore(CheckpointStore):
         cost_model: CheckpointCostModel | None = None,
         *,
         keep: int = 2,
-        deep_copy: bool = False,
     ) -> None:
-        super().__init__(cost_model, keep=keep, deep_copy=deep_copy)
+        super().__init__(cost_model, keep=keep)
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self._keep = keep

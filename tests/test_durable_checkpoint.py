@@ -183,7 +183,7 @@ class TestDeepCopyOption:
     def test_durable_restore_immune_to_caller_mutation(
         self, tmp_path, small_hierarchy
     ):
-        st = DurableCheckpointStore(tmp_path, keep=2, deep_copy=False)
+        st = DurableCheckpointStore(tmp_path, keep=2)
         mutable = small_hierarchy.copy()
         st.save(0, 0.0, mutable)
         before = mutable.total_cells
@@ -193,7 +193,7 @@ class TestDeepCopyOption:
         assert ck.hierarchy.total_cells == before
 
     def test_base_store_aliases_without_deep_copy(self, small_hierarchy):
-        st = CheckpointStore(deep_copy=False)
+        st = CheckpointStore()
         mutable = small_hierarchy.copy()
         st.save(0, 0.0, mutable)
         mutable.levels.pop()

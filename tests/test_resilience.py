@@ -457,7 +457,7 @@ class TestDetectorSweepEdges:
 
 
 class TestCheckpointAliasing:
-    """The deep_copy knob and its wiring to incremental replay."""
+    """Checkpoints alias the saved hierarchy; replay never mutates one."""
 
     def test_default_aliases_the_saved_hierarchy(self, small_hierarchy):
         store = CheckpointStore()
@@ -465,42 +465,9 @@ class TestCheckpointAliasing:
         store.save(0, 0.0, mutable)
         mutable.levels.pop()            # in-place regrid-style mutation
         ck, _ = store.restore()
-        # Documented hazard: without deep_copy the checkpoint tracks the
-        # caller's mutations.
+        # Documented hazard: the checkpoint tracks the caller's mutations.
         assert ck.hierarchy is mutable
         assert ck.hierarchy.total_cells == mutable.total_cells
-
-    def test_deep_copy_snapshots_state_at_save_time(self, small_hierarchy):
-        store = CheckpointStore(deep_copy=True)
-        mutable = small_hierarchy.copy()
-        before = mutable.total_cells
-        store.save(0, 0.0, mutable)
-        mutable.levels.pop()
-        ck, _ = store.restore()
-        assert ck.hierarchy is not mutable
-        assert ck.hierarchy.total_cells == before
-
-    def test_simulator_wires_deep_copy_to_incremental(
-        self, monkeypatch, small_rm3d_trace
-    ):
-        from repro.execsim import simulator as simulator_mod
-
-        captured = []
-
-        class Spy(CheckpointStore):
-            def __init__(self, cost_model=None, *, keep=2, deep_copy=False):
-                captured.append(deep_copy)
-                super().__init__(cost_model, keep=keep, deep_copy=deep_copy)
-
-        monkeypatch.setattr(simulator_mod, "CheckpointStore", Spy)
-        for incremental in (True, False):
-            ExecutionSimulator(
-                sp2_blue_horizon(4),
-                options=SimulatorOptions(
-                    fault_tolerance=FaultTolerance(), incremental=incremental
-                ),
-            ).run(small_rm3d_trace, StaticSelector(ISPPartitioner()))
-        assert captured == [True, False]
 
     def test_replay_never_mutates_snapshots(self, small_rm3d_trace):
         """Incremental replay only diffs snapshots: a fault-tolerant
