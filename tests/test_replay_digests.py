@@ -4,8 +4,9 @@ Each case drives one path through :class:`ExecutionSimulator` — Poisson
 crashes with rollback, flap stalls under eviction hysteresis, gray
 down-weighting, total blackouts at an interval boundary and mid-interval,
 durable checkpoints, plain stall-until-repair replay under background
-load, the constant-speed fast path and the online loop — and hashes the
-whole :class:`RunResult`.  The literals pin every float, record and
+load, checkpointed replay under background load with no failures, the
+constant-speed fast path and the online loop — and hashes the whole
+:class:`RunResult`.  The literals pin every float, record and
 recovery event byte for byte, so a refactor of the simulator must leave
 them unchanged.  Each case also checks that its path actually ran.
 """
@@ -125,6 +126,16 @@ def case_plain_outage(trace, tmp_path):
     return res
 
 
+def case_checkpoint_under_load(trace, tmp_path):
+    # An explicit FaultTolerance with no failure schedule: checkpoints are
+    # charged every interval, no rollback runs, background load varies.
+    cluster = linux_cluster(8, seed=7)
+    res, _ = _replay(trace, cluster, FaultTolerance())
+    assert cluster.loadgen is not None and not cluster.failures.events
+    assert res.num_recoveries == 0 and res.total_checkpoint_time > 0.0
+    return res
+
+
 def case_constant_speed(trace, tmp_path):
     res, _ = _replay(trace, sp2_blue_horizon(8))
     assert res.total_checkpoint_time == 0.0
@@ -165,6 +176,9 @@ EXPECTED = {
     ),
     case_plain_outage: (
         "4677d35b7f271b2035c145726a7b7628ae68fae097c149439c611ca6791e0340"
+    ),
+    case_checkpoint_under_load: (
+        "8a3101ebffd6ff849117e2f329846d9f1ef2ea29aa2cece139620974e30bf9c7"
     ),
     case_constant_speed: (
         "b7fa8e18c4d81d3e3098b648f80137309c4442f141e0b0f563fb7cd390fae23d"
