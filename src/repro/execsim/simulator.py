@@ -401,12 +401,11 @@ class ExecutionSimulator:
                         "checkpoint", t=interval_t0, step=snap.step,
                         seconds=checkpoint_t,
                     )
-                # Fault-tolerant replay runs the steps after the checkpoint;
-                # plain replay from the interval start.
-                t0 = sim_time if rollback is None else sim_time + checkpoint_t
+                # The interval's steps run after its checkpoint.
                 comp_t, comm_t, ghost, recovery_t, partition, recs, live = (
                     self._interval_cost(
-                        partition, snap, coarse_steps, t0, rollback,
+                        partition, snap, coarse_steps, sim_time + checkpoint_t,
+                        rollback,
                         decision=decision, units=units, live=live,
                     )
                 )

@@ -178,7 +178,7 @@ EXPECTED = {
         "4677d35b7f271b2035c145726a7b7628ae68fae097c149439c611ca6791e0340"
     ),
     case_checkpoint_under_load: (
-        "8a3101ebffd6ff849117e2f329846d9f1ef2ea29aa2cece139620974e30bf9c7"
+        "6ba1fce798dc0e70ee9a14598bca1f81ddfdaae22eca705ac2fe06d46ec1122a"
     ),
     case_constant_speed: (
         "b7fa8e18c4d81d3e3098b648f80137309c4442f141e0b0f563fb7cd390fae23d"
