@@ -21,6 +21,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.amr.hierarchy import GridHierarchy
+from repro.util.fileio import write_file
 
 __all__ = ["Snapshot", "AdaptationTrace"]
 
@@ -175,8 +176,9 @@ class AdaptationTrace:
         )
 
     def save(self, path: str | Path) -> None:
-        """Write the trace to ``path`` (gzip-compressed JSON)."""
-        Path(path).write_bytes(gzip.compress(self.to_json().encode()))
+        """Write the trace to ``path`` (gzip-compressed JSON, whose CRC
+        :meth:`load` checks) through :func:`~repro.util.fileio.write_file`."""
+        write_file(path, gzip.compress(self.to_json().encode()))
 
     @classmethod
     def load(cls, path: str | Path) -> "AdaptationTrace":

@@ -20,7 +20,11 @@ __all__ = ["WorkloadMap", "composite_load_map", "update_composite_load_map"]
 
 #: patch count from which :func:`composite_load_map` uses the batched
 #: scatter; below it, contiguous slice adds are already optimal and the
-#: ragged index arithmetic would only add overhead.
+#: ragged index arithmetic would only add overhead.  Measured on the small
+#: RM3D trace (2-core host): 12 of its 40 snapshots have 3-24 patches, and
+#: one pass over those 12 took 3.4-6.4 ms (median 3.5) by the per-patch
+#: loop against 10.2-16.6 ms (median 10.6) by :func:`_batched_values`,
+#: bit-identical.
 VECTOR_MIN_PATCHES = 32
 
 

@@ -10,19 +10,18 @@ sweeps:
   consumed by the default sweep scenario set and the test suite.
 
 Both are cached on disk under ``.cache/`` and written with
-:func:`~repro.sweep.cache.atomic_write`, so concurrent sweep workers
-that race on a cold cache each produce a complete file (last writer wins
-with identical content) instead of interleaving a torn one.
+:func:`~repro.util.fileio.write_file`, so racing writers and crashes
+never leave a partial file; one that fails gzip's CRC is regenerated.
 """
 
 from __future__ import annotations
 
+import zlib
 from pathlib import Path
 from typing import Callable
 
 from repro.amr.regrid import RegridPolicy
 from repro.amr.trace import AdaptationTrace
-from repro.sweep.cache import atomic_write
 
 __all__ = [
     "NUM_COARSE_STEPS",
@@ -55,21 +54,16 @@ def _cached_trace(
     filename: str,
     generate: Callable[[], AdaptationTrace],
 ) -> AdaptationTrace:
-    """Load ``filename`` from the cache dir, generating it atomically.
-
-    The trace is written through :func:`~repro.sweep.cache.atomic_write`,
-    so concurrent generators cannot expose a partial file to each other
-    — the fix for the cold-cache race between parallel sweep workers.
-    """
-    cache_dir = (
-        _default_cache_dir() if cache_dir is None else Path(cache_dir)
-    )
-    cache_dir.mkdir(parents=True, exist_ok=True)
+    """Load ``filename`` from the cache dir, or generate and save it when
+    the file is missing or fails to decode (torn or corrupted)."""
+    cache_dir = _default_cache_dir() if cache_dir is None else Path(cache_dir)
     path = cache_dir / filename
-    if path.exists():
+    try:
         return AdaptationTrace.load(path)
+    except (OSError, EOFError, zlib.error, ValueError):
+        pass
     trace = generate()
-    atomic_write(path, trace.save)
+    trace.save(path)
     return trace
 
 

@@ -11,6 +11,8 @@ import json
 from pathlib import Path
 from typing import IO, TYPE_CHECKING
 
+from repro.util.fileio import write_file
+
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard, typing only
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.tracing import Tracer
@@ -48,11 +50,8 @@ def export_json(
         json.dump(doc, target, indent=indent, sort_keys=True)
         target.write("\n")
         return
-    path = Path(target)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=indent, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(doc, indent=indent, sort_keys=True) + "\n"
+    write_file(target, text.encode("utf-8"))
 
 
 def export_jsonl(record: dict, target: str | Path) -> None:

@@ -44,6 +44,7 @@ from typing import Any, Callable
 
 from repro.obs.anomaly import Alert
 from repro.obs.metrics import MetricsRegistry
+from repro.util.fileio import write_file
 
 __all__ = [
     "render_prometheus",
@@ -484,8 +485,9 @@ class FlightRecorder:
     def dump(self, path: str | Path) -> int:
         """Write the ring to ``path`` as JSONL; returns the line count.
 
-        The dump is written whole (one buffered write of every line), so
-        a reader never sees a half-written postmortem.
+        The dump is written whole through
+        :func:`~repro.util.fileio.write_file` (fsync, then an atomic
+        rename), so a reader never sees a half-written postmortem.
         """
         events = self.tail()
         header = {
@@ -499,10 +501,7 @@ class FlightRecorder:
             json.dumps(rec, sort_keys=True, default=str) + "\n"
             for rec in (header, *events)
         )
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", encoding="utf-8") as fh:
-            fh.write(payload)
+        write_file(path, payload.encode("utf-8"))
         return len(events)
 
 

@@ -31,6 +31,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.obs.metrics import nearest_rank
+from repro.util.fileio import write_file
 
 if TYPE_CHECKING:
     from repro.execsim.simulator import StepRecord
@@ -150,13 +151,10 @@ class TimelineRecorder:
 
     def to_jsonl(self, target: str | Path) -> Path:
         """Write the timeline as JSON Lines; returns the path."""
-        path = Path(target)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", encoding="utf-8") as fh:
-            for row in self.to_dicts():
-                fh.write(json.dumps(row, sort_keys=True))
-                fh.write("\n")
-        return path
+        text = "".join(
+            json.dumps(row, sort_keys=True) + "\n" for row in self.to_dicts()
+        )
+        return write_file(target, text.encode("utf-8"))
 
     def reset(self) -> None:
         """Drop all samples and events."""

@@ -22,6 +22,7 @@ from repro.policy.fuzzy import (
 from repro.policy.kb import PolicyKnowledgeBase
 from repro.policy.octant import Octant
 from repro.policy.rules import Condition, Rule
+from repro.util.fileio import write_file
 
 __all__ = ["kb_to_json", "kb_from_json", "save_kb", "load_kb"]
 
@@ -115,7 +116,7 @@ def kb_from_json(text: str) -> PolicyKnowledgeBase:
 
 def save_kb(kb: PolicyKnowledgeBase, path: str | Path) -> None:
     """Write the knowledge base to ``path``."""
-    Path(path).write_text(kb_to_json(kb))
+    write_file(path, kb_to_json(kb).encode("utf-8"))
 
 
 def load_kb(path: str | Path) -> PolicyKnowledgeBase:

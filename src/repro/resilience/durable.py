@@ -6,17 +6,10 @@ survives the driver process dying, which needs stable storage that stays
 consistent under exactly the failures this repo injects: a crash mid-write
 (torn record) and silent media corruption (bit flips).
 
-Each checkpoint is one file written with the classic atomic recipe —
-serialize to ``<name>.tmp``, ``fsync``, then ``os.replace`` onto the final
-name (and ``fsync`` the directory so the rename itself is durable).  A
-reader therefore never observes a half-renamed record; a crash before the
-rename leaves only a ``.tmp`` file that restore ignores.
-
-The record format is self-validating::
-
-    {"format": "repro-ckpt-v1", "step": ..., "sim_time": ..., "num_cells": ...,
-     "payload_bytes": N, "payload_sha256": "<hex>"}\\n
-    <N bytes of JSON-serialized hierarchy>
+Each checkpoint is one self-validating record (``step``, ``sim_time`` and
+``num_cells`` in its header, the JSON-serialized hierarchy as payload)
+written by :func:`repro.util.fileio.write_record`, so a crash at any
+instant leaves each record whole or absent.
 
 Restore walks records newest-first and returns the first one that passes
 validation, counting every rejected record under
@@ -28,9 +21,7 @@ the matching fault injector used by the chaos matrix.
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
 import random
 from pathlib import Path
 
@@ -41,25 +32,12 @@ from repro.resilience.checkpoint import (
     CheckpointCostModel,
     CheckpointStore,
 )
+from repro.util.fileio import read_record, write_record
 
 __all__ = ["DurableCheckpointStore", "corrupt_checkpoint", "FORMAT_NAME"]
 
 FORMAT_NAME = "repro-ckpt-v1"
 _SUFFIX = ".ckpt"
-
-
-def _fsync_dir(directory: Path) -> None:
-    """Flush the directory entry so a completed rename survives a crash."""
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform without dir-open support
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - e.g. directories on some FSes
-        pass
-    finally:
-        os.close(fd)
 
 
 class DurableCheckpointStore(CheckpointStore):
@@ -94,25 +72,11 @@ class DurableCheckpointStore(CheckpointStore):
         payload = json.dumps(
             ck.hierarchy.to_dict(), sort_keys=True, separators=(",", ":")
         ).encode("utf-8")
-        header = {
-            "format": FORMAT_NAME,
-            "step": ck.step,
-            "sim_time": ck.sim_time,
-            "num_cells": ck.num_cells,
-            "payload_bytes": len(payload),
-            "payload_sha256": hashlib.sha256(payload).hexdigest(),
-        }
         name = f"ckpt-{self.saved:06d}-step{ck.step:06d}{_SUFFIX}"
-        final = self.directory / name
-        tmp = final.with_suffix(final.suffix + ".tmp")
-        blob = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + payload
-        with open(tmp, "wb") as f:
-            f.write(blob)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, final)
-        _fsync_dir(self.directory)
-        return final
+        return write_record(
+            self.directory / name, FORMAT_NAME, payload,
+            step=ck.step, sim_time=ck.sim_time, num_cells=ck.num_cells,
+        )
 
     def _prune(self) -> None:
         paths = self.record_paths()
@@ -129,31 +93,11 @@ class DurableCheckpointStore(CheckpointStore):
         ``decode`` (checksummed bytes that no longer parse; in practice
         only reachable if the writer itself was buggy).
         """
-        try:
-            blob = Path(path).read_bytes()
-        except OSError:
+        header, payload, reason = read_record(path, FORMAT_NAME)
+        if reason is not None:
+            return None, reason
+        if not all(k in header for k in ("step", "sim_time", "num_cells")):
             return None, "header"
-        head, sep, payload = blob.partition(b"\n")
-        if not sep:
-            return None, "header"
-        try:
-            header = json.loads(head)
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            return None, "header"
-        if (
-            not isinstance(header, dict)
-            or header.get("format") != FORMAT_NAME
-            or not all(
-                k in header
-                for k in ("step", "sim_time", "num_cells", "payload_bytes",
-                          "payload_sha256")
-            )
-        ):
-            return None, "header"
-        if len(payload) != header["payload_bytes"]:
-            return None, "torn"
-        if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
-            return None, "checksum"
         try:
             hierarchy = GridHierarchy.from_dict(json.loads(payload))
         except Exception:

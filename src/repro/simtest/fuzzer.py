@@ -27,6 +27,7 @@ from typing import Any, Callable, Iterable
 from repro.simtest.invariants import Violation
 from repro.simtest.script import WorkloadScript, generate_script
 from repro.simtest.world import SimWorld
+from repro.util.fileio import write_file
 
 __all__ = [
     "SimReport",
@@ -183,9 +184,7 @@ def write_repro(
     min_report: SimReport,
 ) -> Path:
     """Write a self-contained ``simtest-repro-<seed>.json``."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"simtest-repro-{seed}.json"
+    path = Path(directory) / f"simtest-repro-{seed}.json"
     doc = {
         "format": REPRO_FORMAT,
         "seed": seed,
@@ -205,9 +204,8 @@ def write_repro(
         "invariant_log_tail": min_report.invariant_log[-40:],
         "flight_tail": min_report.flight,
     }
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-    return path
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return write_file(path, text.encode("utf-8"))
 
 
 def load_repro(path: str | Path) -> dict[str, Any]:

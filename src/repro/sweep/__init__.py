@@ -8,7 +8,8 @@ set:
   process-local registry, and deterministic identity (canonical params +
   SHA-256 seed derivation);
 - :mod:`repro.sweep.cache` — the content-addressed on-disk result cache
-  (scenario name + canonicalized params + code-version salt → JSON);
+  (scenario name + canonicalized params + code salt → checksummed
+  JSON record);
 - :mod:`repro.sweep.runner` — :class:`SweepRunner`, fanning cache
   misses across a process pool with ordered-deterministic collection;
 - :mod:`repro.sweep.builtin` — the stock scenario set (imported lazily
@@ -23,7 +24,7 @@ programmatic one::
     print(result.render())
 """
 
-from repro.sweep.cache import CODE_SALT, ResultCache, atomic_write_json, cache_key
+from repro.sweep.cache import ResultCache, cache_key, code_salt
 from repro.sweep.runner import SweepResult, SweepRunner, TaskResult, run_sweep
 from repro.sweep.scenario import (
     FunctionScenario,
@@ -40,7 +41,6 @@ from repro.sweep.scenario import (
 )
 
 __all__ = [
-    "CODE_SALT",
     "FunctionScenario",
     "ResultCache",
     "Scenario",
@@ -49,9 +49,9 @@ __all__ = [
     "SweepRunner",
     "TaskResult",
     "all_scenarios",
-    "atomic_write_json",
     "cache_key",
     "canonical_params",
+    "code_salt",
     "derive_seed",
     "filter_scenarios",
     "get_scenario",

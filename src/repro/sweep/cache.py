@@ -1,32 +1,44 @@
 """Content-addressed on-disk result cache for scenario sweeps.
 
 A cache entry is addressed by the SHA-256 of the scenario's full
-identity — name, canonicalized parameters, per-scenario version, and a
-global code-version salt — so re-running a sweep only executes
-configurations whose identity changed.  Bumping :data:`CODE_SALT`
-invalidates every entry at once (do this when a change alters results
-across the board); bumping one scenario's ``version`` invalidates just
-that scenario.
-
-Entries are JSON documents written by :func:`atomic_write` (a per-writer
-temp file + atomic :func:`os.replace`), so concurrent writers (parallel
-sweeps, threads of one server) can never expose a torn file.
+identity — name, canonicalized parameters, per-scenario version, and
+the code salt (:func:`code_salt`, a hash of the package's own source),
+so any edit to the code invalidates every entry at once, and bumping one
+scenario's ``version`` invalidates just that scenario.  Entries are
+checksummed records (:func:`repro.util.fileio.write_record`) with the
+salt in their header; one that fails validation is a miss.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-import os
-import tempfile
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
-__all__ = ["CODE_SALT", "ResultCache", "atomic_write", "atomic_write_json", "cache_key"]
+import numpy as np
 
-#: global code-version salt folded into every cache key.  Bump whenever a
-#: change to the pipeline alters scenario results across the board.
-CODE_SALT = "2026.10-2"
+from repro.util.fileio import read_record, write_record
+
+__all__ = ["ResultCache", "cache_key", "code_salt"]
+
+#: header ``format`` of a cache entry
+FORMAT_NAME = "repro-result-v1"
+
+
+@functools.cache
+def code_salt() -> str:
+    """The code-version salt folded into every cache key: a SHA-256 over
+    every ``.py`` file of the package (sorted relative path, length and
+    bytes) plus the numpy version, computed once per process."""
+    root = Path(__file__).resolve().parents[1]
+    h = hashlib.sha256()
+    for rel in sorted(f.relative_to(root).as_posix() for f in root.rglob("*.py")):
+        data = (root / rel).read_bytes()
+        h.update(f"{rel}\0{len(data)}\0".encode())
+        h.update(data)
+    return f"{h.hexdigest()}:numpy-{np.__version__}"
 
 
 def cache_key(
@@ -34,42 +46,19 @@ def cache_key(
     params: dict[str, Any],
     *,
     version: str = "1",
-    salt: str = CODE_SALT,
+    salt: str | None = None,
 ) -> str:
     """SHA-256 identity of one scenario configuration (hex digest).
 
     Stable under parameter reordering (parameters are canonicalized) and
     distinct across names, parameter values, scenario versions and code
-    salts.
+    salts; ``salt`` defaults to :func:`code_salt`.
     """
     from repro.sweep.scenario import canonical_params
 
-    payload = "\n".join(["repro-sweep", salt, version, name,
+    payload = "\n".join(["repro-sweep", salt or code_salt(), version, name,
                          canonical_params(params)])
     return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def atomic_write(path: Path, write: Callable[[Path], None]) -> None:
-    """Publish ``path`` by calling ``write(tmp)`` and renaming ``tmp`` over it.
-
-    ``tmp`` comes from :func:`tempfile.mkstemp` in the target directory,
-    so concurrent writers (threads or processes) never share one; the
-    rename is atomic on POSIX, so readers never see a partial write.
-    """
-    path = Path(path)
-    fd, name = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
-    os.close(fd)
-    tmp = Path(name)
-    try:
-        write(tmp)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-def atomic_write_json(path: Path, document: Any) -> None:
-    """Write ``document`` as compact JSON to ``path`` via :func:`atomic_write`."""
-    atomic_write(path, lambda tmp: tmp.write_text(json.dumps(document, separators=(",", ":"))))
 
 
 class ResultCache:
@@ -93,31 +82,14 @@ class ResultCache:
     def get(self, key: str) -> dict[str, Any] | None:
         """The cached document for ``key``, or ``None`` on a miss.
 
-        Unreadable/corrupt entries count as misses (they are simply
+        Entries that fail validation count as misses (they are simply
         overwritten on the next put).
         """
-        path = self.path_for(key)
-        try:
-            with open(path) as fh:
-                return json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            return None
+        _, payload, reason = read_record(self.path_for(key), FORMAT_NAME)
+        return None if reason is not None else json.loads(payload)
 
     def put(self, key: str, document: dict[str, Any]) -> Path:
-        """Store ``document`` under ``key`` (atomically); returns its path."""
-        self.directory.mkdir(parents=True, exist_ok=True)
-        path = self.path_for(key)
-        atomic_write_json(path, document)
-        return path
-
-    def __contains__(self, key: str) -> bool:
-        return self.path_for(key).exists()
-
-    def clear(self) -> int:
-        """Delete every entry; returns the number removed."""
-        removed = 0
-        if self.directory.is_dir():
-            for path in self.directory.glob("*.json"):
-                path.unlink(missing_ok=True)
-                removed += 1
-        return removed
+        """Store ``document`` under ``key`` durably; returns its path."""
+        payload = json.dumps(document, separators=(",", ":")).encode()
+        return write_record(self.path_for(key), FORMAT_NAME, payload,
+                            salt=code_salt())

@@ -27,7 +27,7 @@ from typing import Any, Sequence
 
 from repro import obs
 from repro.partitioners import deterministic_partition_time
-from repro.sweep.cache import CODE_SALT, ResultCache, cache_key
+from repro.sweep.cache import ResultCache, cache_key
 from repro.sweep.scenario import (
     Scenario,
     filter_scenarios,
@@ -259,7 +259,6 @@ class SweepRunner:
             "scenario": scenario.name,
             "params": dict(scenario.params),
             "version": scenario.version,
-            "salt": CODE_SALT,
             "seed": task.seed,
             "wall_s": task.wall_s,
             "result": task.result,

@@ -1,7 +1,12 @@
 """Tests for the scenario sweep engine (repro.sweep)."""
 
 import json
+import os
+import shutil
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -9,9 +14,9 @@ from repro.sweep import (
     FunctionScenario,
     ResultCache,
     SweepRunner,
-    atomic_write_json,
     cache_key,
     canonical_params,
+    code_salt,
     derive_seed,
     filter_scenarios,
     get_scenario,
@@ -20,6 +25,7 @@ from repro.sweep import (
     run_sweep,
     unregister,
 )
+from repro.util.fileio import write_file
 
 
 class TestScenarioIdentity:
@@ -98,6 +104,37 @@ class TestCacheKey:
         assert cache_key("t", {"a": 1}) != cache_key("u", {"a": 1})
         assert cache_key("t", {"a": 1}) != cache_key("t", {"a": 2})
 
+    def test_salt_is_computed_once_and_in_no_signature(self):
+        import inspect
+
+        import numpy as np
+
+        assert code_salt() is code_salt()
+        assert code_salt().endswith(f":numpy-{np.__version__}")
+        assert code_salt() not in str(inspect.signature(cache_key))
+
+    def test_editing_any_module_changes_the_key(self, tmp_path):
+        """The salt hashes the package source: fresh interpreters on a
+        copy of the tree agree with this process until a file changes."""
+        import repro
+
+        tree = tmp_path / "src"
+        shutil.copytree(Path(repro.__file__).parent, tree / "repro",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        env = {**os.environ, "PYTHONPATH": str(tree)}
+        probe = ("from repro.sweep.cache import cache_key; "
+                 "print(cache_key('t', {'a': 1}))")
+
+        def key():
+            out = subprocess.run([sys.executable, "-c", probe], env=env,
+                                 capture_output=True, text=True, check=True)
+            return out.stdout.strip()
+
+        assert key() == key() == cache_key("t", {"a": 1})
+        with open(tree / "repro" / "gridsys" / "link.py", "a") as fh:
+            fh.write("# edited\n")
+        assert key() != cache_key("t", {"a": 1})
+
 
 class TestResultCache:
     def test_put_get_roundtrip(self, tmp_path):
@@ -116,11 +153,38 @@ class TestResultCache:
         cache.path_for(key).write_text("{not json")
         assert cache.get(key) is None
 
-    def test_atomic_write_json(self, tmp_path):
-        path = tmp_path / "doc.json"
-        atomic_write_json(path, {"a": 1})
-        assert json.loads(path.read_text()) == {"a": 1}
-        assert not list(tmp_path.glob("*.tmp"))
+    def test_write_file_roundtrip(self, tmp_path):
+        path = tmp_path / "sub" / "doc.json"
+        assert write_file(path, b'{"a":1}') == path
+        write_file(path, b'{"a":2}')
+        assert json.loads(path.read_text()) == {"a": 2}
+        assert os.listdir(path.parent) == ["doc.json"]
+
+    def test_bitflip_that_still_parses_is_a_miss(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = cache_key("t", {"a": 1})
+        path = cache.put(key, {"result": 1})
+        blob = path.read_bytes()
+        idx = blob.rindex(b"1")
+        blob = blob[:idx] + bytes([blob[idx] ^ 0x02]) + blob[idx + 1:]  # "3"
+        assert json.loads(blob.rpartition(b"\n")[2]) == {"result": 3}
+        path.write_bytes(blob)
+        assert cache.get(key) is None
+
+    def test_torn_and_unframed_entries_are_misses(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = cache_key("t", {"a": 1})
+        path = cache.put(key, {"result": list(range(100))})
+        path.write_bytes(path.read_bytes()[:-10])
+        assert cache.get(key) is None
+        path.write_text(json.dumps({"result": 1}))  # a bare JSON document
+        assert cache.get(key) is None
+
+    def test_record_header_carries_the_salt(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        path = cache.put(cache_key("t", {"a": 1}), {"result": 1})
+        header = json.loads(path.read_bytes().partition(b"\n")[0])
+        assert header["salt"] == code_salt()
 
     def test_concurrent_puts_of_one_key(self, tmp_path):
         """Threads of one process writing the same key each get their
@@ -144,7 +208,7 @@ class TestResultCache:
         for t in threads:
             t.join(timeout=10)
         assert errors == []
-        assert json.loads(cache.path_for(key).read_text()) in docs
+        assert cache.get(key) in docs
         assert not list(tmp_path.glob("*.tmp"))
 
 
@@ -272,3 +336,25 @@ class TestAtomicTraceCache:
         assert not list(tmp_path.glob("*.tmp"))
         t2 = rm3d_small_trace(cache_dir=tmp_path)
         assert len(t1) == len(t2)
+
+    @pytest.mark.parametrize("damage", ["truncate", "bitflip"])
+    def test_corrupt_trace_is_regenerated(self, tmp_path, damage):
+        from repro.amr.trace import AdaptationTrace
+        from repro.experiments.common import _cached_trace
+
+        generated = []
+
+        def generate():
+            generated.append(1)
+            return AdaptationTrace(meta={"n": len(generated)})
+
+        _cached_trace(tmp_path, "t.json.gz", generate)
+        path = tmp_path / "t.json.gz"
+        blob = path.read_bytes()
+        mid = len(blob) // 2
+        path.write_bytes(blob[:mid] if damage == "truncate" else
+                         blob[:mid] + bytes([blob[mid] ^ 0x10]) + blob[mid + 1:])
+        assert _cached_trace(tmp_path, "t.json.gz", generate).meta == {"n": 2}
+        assert AdaptationTrace.load(path).meta == {"n": 2}
+        assert _cached_trace(tmp_path, "t.json.gz", generate).meta == {"n": 2}
+        assert len(generated) == 2
