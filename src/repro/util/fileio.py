@@ -30,21 +30,28 @@ __all__ = ["read_record", "write_file", "write_record"]
 
 def write_file(path: str | Path, data: bytes) -> Path:
     """Durably replace ``path`` (parents created) with ``data``; returns
-    the path.  On an error ``path`` keeps its old content."""
+    the path.  On an error ``path`` keeps its old content.  A symlink is
+    followed; a pipe or device (``/dev/stdout``) is written straight through.
+    """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp",
-                               dir=path.parent)
+    if path.exists() and not path.is_file():
+        with open(path, "wb") as fh:
+            fh.write(data)
+        return path
+    target = path.resolve()
+    target.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=f".{target.name}.", suffix=".tmp",
+                               dir=target.parent)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
         Path(tmp).unlink(missing_ok=True)
         raise
-    dir_fd = os.open(path.parent, os.O_RDONLY)
+    dir_fd = os.open(target.parent, os.O_RDONLY)
     try:
         with contextlib.suppress(OSError):  # some file systems refuse
             os.fsync(dir_fd)

@@ -9,6 +9,7 @@ file, for a cached result, a trace and a checkpoint.
 """
 
 import os
+import threading
 
 import pytest
 
@@ -32,6 +33,26 @@ class TestWriteFile:
             write_file(path, b"new")
         assert path.read_bytes() == b"old"
         assert os.listdir(tmp_path) == ["doc"]
+
+
+    def test_symlink_keeps_pointing_at_the_new_content(self, tmp_path):
+        target = write_file(tmp_path / "real" / "doc", b"old")
+        link = tmp_path / "link"
+        link.symlink_to(target)
+        write_file(link, b"new")
+        assert link.is_symlink() and target.read_bytes() == b"new"
+
+    def test_pipe_is_written_through(self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        write_file(fifo, b"streamed")
+        reader.join(timeout=10)
+        assert not reader.is_alive() and got == [b"streamed"]
+        assert os.listdir(tmp_path) == ["fifo"]
 
 
 class TestRecord:
