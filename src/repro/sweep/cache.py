@@ -86,7 +86,7 @@ class ResultCache:
         overwritten on the next put).
         """
         _, payload, reason = read_record(self.path_for(key), FORMAT_NAME)
-        return None if reason is not None else json.loads(payload)
+        return None if reason is not None else json.loads(payload.decode())
 
     def put(self, key: str, document: dict[str, Any]) -> Path:
         """Store ``document`` under ``key`` durably; returns its path."""

@@ -75,8 +75,9 @@ def read_record(
     """``(header, payload, None)`` for a valid ``fmt`` record at ``path``,
     else ``(None, None, reason)``."""
     try:
-        head, sep, payload = Path(path).read_bytes().partition(b"\n")
-        header = json.loads(head) if sep else None
+        with open(path, "rb") as fh:
+            head, sep, payload = fh.read().partition(b"\n")
+        header = json.loads(head.decode()) if sep else None
     except (OSError, ValueError):
         header = None
     if (not isinstance(header, dict) or header.get("format") != fmt
