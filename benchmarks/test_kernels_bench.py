@@ -153,7 +153,7 @@ def _rm3d_like_hierarchy(rng: np.random.Generator) -> GridHierarchy:
 
 
 def _metric_kernels(
-    rng: np.random.Generator, ref_metrics, ref_costmodel
+    rng: np.random.Generator, ref_metrics, ref_costmodel, ref_geometry
 ) -> dict:
     """PAC comm volume, cut scoring, fragment count and refined mask.
 
@@ -174,8 +174,8 @@ def _metric_kernels(
     ).regrid(spikes)
     units = build_units(hierarchy, granularity=1)
     part = PBDISPPartitioner().partition(units, PROCS)
-    i, j, axis = units.adjacency_arrays()
-    shapes = units.unit_shapes()
+    i, j, axis = ref_geometry.adjacency_arrays(units)
+    shapes = ref_geometry.unit_shapes(units)
     cost = CostModel()
     widths = (cost.ghost_width, cost.bytes_per_comm_unit)
 
@@ -274,7 +274,9 @@ def test_kernels_bench_snapshot(reference):
         )
         for name, h in _bench_hierarchies(rng).items()
     }
-    kernels.update(_metric_kernels(rng, ref_metrics, ref_costmodel))
+    kernels.update(_metric_kernels(
+        rng, ref_metrics, ref_costmodel, reference("ref_geometry")
+    ))
     rm3d = _rm3d_like_hierarchy(rng)
     kernels["load_map"] = {"rm3d": _pair(
         lambda: ref_workload.composite_values(rm3d),

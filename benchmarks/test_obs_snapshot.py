@@ -120,7 +120,7 @@ def _timed_adaptive_run():
 
 
 def test_obs_overhead_and_snapshot(tmp_path):
-    assert not obs.enabled()
+    assert obs.current() is None
     null_ns = _disabled_ns_per_call()
     # Warm-up once (partitioner instance caches, numpy JIT-ish costs).
     _timed_adaptive_run()

@@ -34,7 +34,6 @@ from repro.api import (
     MetaPartitioner,
     Pragma,
     PragmaRuntime,
-    RuntimeConfig,
     Scenario,
     ScenarioServer,
     ServerHandle,
@@ -43,7 +42,7 @@ from repro.api import (
     run_sweep,
 )
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "__version__",
@@ -55,7 +54,6 @@ __all__ = [
     "run_sweep",
     "ScenarioServer",
     "ServerHandle",
-    "RuntimeConfig",
     "SimulatorOptions",
     "LiveObsOptions",
     "HealthStatus",

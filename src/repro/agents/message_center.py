@@ -256,9 +256,10 @@ class MessageCenter:
         (``trace_ctx``); the handler that later consumes the message
         closes the flow, linking the two spans in trace exports.
         """
-        tracer = obs.get_tracer()
-        if not tracer.enabled:
+        w = obs.current()
+        if w is None:
             return self._send_inner(message)
+        tracer = w.tracer
         if message.trace_ctx is None:
             # Message is frozen + slotted; the flow stamp is the one
             # sanctioned mutation (publish pre-stamps fanout copies).

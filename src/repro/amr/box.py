@@ -161,10 +161,6 @@ class Box:
         return Box(tuple(l + d for l, d in zip(self.lo, o)),
                    tuple(h + d for h, d in zip(self.hi, o)))
 
-    def clip_to(self, domain: "Box") -> "Box | None":
-        """Intersect with a containing domain (alias with intent)."""
-        return self.intersection(domain)
-
     # -- splitting --------------------------------------------------------------
 
     def split(self, axis: int, at: int) -> tuple["Box", "Box"]:

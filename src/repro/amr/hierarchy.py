@@ -172,10 +172,6 @@ class GridHierarchy:
                 mask[x0:x1, y0:y1, z0:z1] = True
         return mask
 
-    def boundary_cells(self) -> float:
-        """Total patch surface area (in level cells) — ghost-communication proxy."""
-        return float(sum(lvl.surface_area() for lvl in self.levels))
-
     def comm_to_comp_ratio(self) -> float:
         """Ghost-surface to compute-load ratio of the *refined* levels.
 

@@ -10,9 +10,8 @@ under one flat namespace with compatibility guarantees:
   :func:`run_sweep` (the batch sweep engine),
 - **serving** — :class:`ServerHandle` / :class:`ScenarioServer` (the
   long-running scenario-serving runtime, ``python -m repro serve``),
-- **configuration** — :class:`RuntimeConfig` (one composed entry point
-  over the detector, delivery, checkpoint and simulator knobs),
-  :class:`SimulatorOptions` and :class:`LiveObsOptions` (the serving
+- **configuration** — :class:`SimulatorOptions` (the execution
+  simulator's tuning bundle) and :class:`LiveObsOptions` (the serving
   runtime's live telemetry plane),
 - **observability** — :class:`HealthStatus` (the ``health`` verb's
   liveness/readiness document).
@@ -26,7 +25,7 @@ no stability promise; prefer this facade::
     from repro.api import Pragma, run_sweep, ServerHandle
 """
 
-from repro.config import LiveObsOptions, RuntimeConfig, SimulatorOptions
+from repro.config import LiveObsOptions, SimulatorOptions
 from repro.core import MetaPartitioner, PragmaRuntime
 from repro.obs.live import HealthStatus
 from repro.serve import ScenarioServer, ServerHandle
@@ -44,7 +43,6 @@ __all__ = [
     "run_sweep",
     "ScenarioServer",
     "ServerHandle",
-    "RuntimeConfig",
     "SimulatorOptions",
     "LiveObsOptions",
     "HealthStatus",

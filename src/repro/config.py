@@ -1,45 +1,30 @@
-"""One composing entry point for the runtime's configuration surface.
-
-Seven PRs of growth left the reproduction with configuration scattered
-across constructors: the execution simulator accumulated keyword
-arguments (``capacities``, ``partition_time_scale``, ``fault_tolerance``,
-``incremental``), while fault tolerance split across three independent
-knob bundles (:class:`~repro.resilience.recovery.FaultTolerance`,
-:class:`~repro.resilience.detector.DetectorConfig`,
-:class:`~repro.agents.message_center.DeliveryPolicy`) that callers had
-to wire together by hand.  This module consolidates both:
+"""Option bundles for the execution simulator and the serving runtime.
 
 - :class:`SimulatorOptions` is the execution simulator's tuning bundle.
   ``ExecutionSimulator(cluster, options=SimulatorOptions(...))`` is the
-  only way to pass them; the old per-keyword spellings are gone.
-- :class:`RuntimeConfig` composes the detector, delivery, checkpoint and
-  simulator knobs into one document-shaped object with factory methods
-  (:meth:`RuntimeConfig.fault_tolerance`,
-  :meth:`RuntimeConfig.build_simulator`, :meth:`RuntimeConfig.build_server`)
-  so one object configures a whole run.
+  only way to pass them; the old per-keyword spellings are gone.  Fault
+  tolerance is tuned by handing it a
+  :class:`~repro.resilience.recovery.FaultTolerance`.
+- :class:`LiveObsOptions` switches on the serving runtime's live
+  telemetry plane (flight recorder, SLO tracker, snapshot exporter).
 
 Both classes are part of the stable public surface (:mod:`repro.api`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Any
 
-from repro.agents.message_center import DeliveryPolicy
-from repro.resilience.checkpoint import CheckpointCostModel
-from repro.resilience.detector import DetectorConfig
-from repro.resilience.recovery import FaultTolerance
-
-__all__ = ["SimulatorOptions", "LiveObsOptions", "RuntimeConfig"]
+__all__ = ["SimulatorOptions", "LiveObsOptions"]
 
 
 @dataclass(frozen=True, slots=True)
 class LiveObsOptions:
     """Knobs for the serving runtime's live telemetry plane.
 
-    The default is disabled and zero-cost: the server gets the shared
-    no-op flight recorder, no SLO tracker and no exporter thread (the
+    The default is disabled and zero-cost: the server gets no flight
+    recorder, no SLO tracker and no exporter thread (the
     ``metrics``/``health`` wire verbs still answer — the ``serve.*``
     counter registry is part of the server itself, not of this layer).
     ``enabled=True`` turns on the flight recorder and the SLO tracker;
@@ -97,17 +82,17 @@ class LiveObsOptions:
         )
 
     def build_flight_recorder(self, *, wall_clock=None):
-        """A :class:`~repro.obs.live.FlightRecorder` (the shared null
-        recorder when disabled).
+        """A :class:`~repro.obs.live.FlightRecorder` (``None`` when
+        disabled).
 
         ``wall_clock`` overrides the dump-header timestamp source — the
         serving runtime passes its own injected clock through, so a
         simulated run's flight dump carries virtual time.
         """
-        from repro.obs.live import NULL_FLIGHT, FlightRecorder
+        from repro.obs.live import FlightRecorder
 
         if not self.enabled:
-            return NULL_FLIGHT
+            return None
         return FlightRecorder(self.flight_capacity, wall_clock=wall_clock)
 
 
@@ -144,75 +129,3 @@ class SimulatorOptions:
                 f"partition_time_scale must be >= 0, "
                 f"got {self.partition_time_scale}"
             )
-
-
-@dataclass(frozen=True, slots=True)
-class RuntimeConfig:
-    """The one composing entry point for runtime configuration.
-
-    Bundles the failure detector lease (:class:`DetectorConfig`), the
-    message-center link policy (:class:`DeliveryPolicy`), the checkpoint
-    cost model (:class:`CheckpointCostModel`) and the simulator tuning
-    (:class:`SimulatorOptions`), plus the recovery knobs that previously
-    lived only on :class:`FaultTolerance`.  Factory methods build the
-    concrete runtime objects so the pieces stay mutually consistent —
-    e.g. the simulator built here replays failures with exactly the
-    detector lease the agent layer polls with.
-    """
-
-    detector: DetectorConfig = field(default_factory=DetectorConfig)
-    delivery: DeliveryPolicy = field(default_factory=DeliveryPolicy)
-    checkpoint: CheckpointCostModel = field(default_factory=CheckpointCostModel)
-    simulator: SimulatorOptions = field(default_factory=SimulatorOptions)
-    live_obs: LiveObsOptions = field(default_factory=LiveObsOptions)
-    #: recovery attempts tolerated within one regrid interval before a
-    #: run is declared livelocked
-    max_recoveries_per_interval: int = 32
-    #: when set, checkpoints are persisted crash-consistently here
-    checkpoint_dir: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.max_recoveries_per_interval < 1:
-            raise ValueError(
-                f"max_recoveries_per_interval must be >= 1, "
-                f"got {self.max_recoveries_per_interval}"
-            )
-
-    # -- factories ---------------------------------------------------------------
-
-    def fault_tolerance(self) -> FaultTolerance:
-        """The composed :class:`FaultTolerance` bundle for this config."""
-        return FaultTolerance(
-            detector=self.detector,
-            checkpoint=self.checkpoint,
-            max_recoveries_per_interval=self.max_recoveries_per_interval,
-            checkpoint_dir=self.checkpoint_dir,
-        )
-
-    def simulator_options(self) -> SimulatorOptions:
-        """Simulator options with this config's fault tolerance folded in.
-
-        An explicit ``simulator.fault_tolerance`` wins; the default
-        ``None`` is replaced by the composed bundle so failure replay
-        uses this config's detector lease and checkpoint model.
-        """
-        if self.simulator.fault_tolerance is not None:
-            return self.simulator
-        return replace(self.simulator, fault_tolerance=self.fault_tolerance())
-
-    def build_simulator(self, cluster):
-        """An :class:`~repro.execsim.simulator.ExecutionSimulator` on
-        ``cluster`` configured by this bundle."""
-        from repro.execsim.simulator import ExecutionSimulator
-
-        return ExecutionSimulator(cluster, options=self.simulator_options())
-
-    def build_server(self, **kwargs):
-        """A :class:`~repro.serve.server.ScenarioServer` whose retry
-        backoff ladder comes from this config's :class:`DeliveryPolicy`
-        and whose live telemetry plane follows :attr:`live_obs`."""
-        from repro.serve.server import ScenarioServer
-
-        kwargs.setdefault("retry_policy", self.delivery)
-        kwargs.setdefault("live_obs", self.live_obs)
-        return ScenarioServer(**kwargs)

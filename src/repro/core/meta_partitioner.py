@@ -65,9 +65,9 @@ class MetaPartitioner(PartitionerSelector):
         decision = self._apply_hysteresis(octant, decision)
         if self.selections and decision.label != self.selections[-1][2]:
             obs.counter("meta.switches").inc()
-            tl = obs.get_timeline()
-            if tl.enabled:
-                tl.event(
+            w = obs.current()
+            if w is not None:
+                w.timeline.event(
                     "partitioner-switch",
                     t=float(snapshot.step),
                     step=snapshot.step,

@@ -395,9 +395,9 @@ class ExecutionSimulator:
                         snap.step, sim_time, snap.hierarchy
                     )
 
-                tl = obs.get_timeline()
-                if checkpoint_t > 0.0:
-                    tl.event(
+                w = obs.current()
+                if w is not None and checkpoint_t > 0.0:
+                    w.timeline.event(
                         "checkpoint", t=interval_t0, step=snap.step,
                         seconds=checkpoint_t,
                     )
@@ -411,13 +411,14 @@ class ExecutionSimulator:
                 )
                 recovery_t += pre_stall
                 result.recovery_events.extend(recs)
-                for rec in recs:
-                    tl.event(
-                        "recovery", t=rec.t_detected, step=snap.step,
-                        failed_nodes=[int(p) for p in rec.failed_nodes],
-                        detection_lag_s=rec.detection_lag,
-                        steps_lost=rec.steps_lost,
-                    )
+                if w is not None:
+                    for rec in recs:
+                        w.timeline.event(
+                            "recovery", t=rec.t_detected, step=snap.step,
+                            failed_nodes=[int(p) for p in rec.failed_nodes],
+                            detection_lag_s=rec.detection_lag,
+                            steps_lost=rec.steps_lost,
+                        )
                 record = self.commit_interval(
                     result, snap, partition, metrics,
                     label=label, octant=decision.octant,
@@ -506,7 +507,9 @@ class ExecutionSimulator:
         result.proc_work += loads * coarse_steps
         result.useful_work += snap.hierarchy.load_per_coarse_step() * coarse_steps
         result.ghost_work += ghost * coarse_steps
-        obs.get_timeline().record(record)
+        w = obs.current()
+        if w is not None:
+            w.timeline.record(record)
         return record
 
     # -- partitioning over survivors ---------------------------------------------------

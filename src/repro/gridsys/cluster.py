@@ -83,10 +83,6 @@ class Cluster:
         """Nominal (unloaded) per-node speeds."""
         return np.array([n.cpu_speed for n in self.nodes], dtype=float)
 
-    def memories(self) -> np.ndarray:
-        """Per-node memory capacities."""
-        return np.array([n.memory for n in self.nodes], dtype=float)
-
 
 def sp2_blue_horizon(num_procs: int = 64) -> Cluster:
     """NPACI IBM SP2 'Blue Horizon'-like homogeneous MPP.

@@ -258,10 +258,6 @@ class FailureSchedule:
                 factor *= w.capacity_factor
         return factor
 
-    def degraded_windows_for(self, node_id: int) -> list[DegradedWindow]:
-        """Degraded windows registered for ``node_id`` (any time)."""
-        return [w for w in self.degraded if w.node_id == node_id]
-
     def severed(self, a, b, t: float) -> bool:
         """True when any registered partition severs ``a`` from ``b`` at ``t``."""
         return any(p.severed(a, b, t) for p in self.partitions)

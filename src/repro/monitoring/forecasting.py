@@ -268,8 +268,9 @@ class ForecasterEnsemble:
         from; ``None`` otherwise (the disabled path skips the argmin).
         """
         v = float(value)
+        w = obs.current()
         err_best: float | None = None
-        if self._n > 0 and obs.enabled():
+        if self._n > 0 and w is not None:
             err_best = abs(self.predictors[self.best_index].predict() - v)
         if self._n > 0:
             for i, p in enumerate(self.predictors):
@@ -279,7 +280,7 @@ class ForecasterEnsemble:
         for p in self.predictors:
             p.update(v)
         self._n += 1
-        if obs.enabled():
+        if w is not None:
             # Predictor-selection churn: how often the postcast winner
             # changes.  Gated so the disabled path skips the argmin.
             obs.counter("forecast.updates").inc()

@@ -98,9 +98,9 @@ class ResourceMonitor:
         if cpu_errors:
             mean_err = sum(cpu_errors) / len(cpu_errors)
             obs.histogram("monitor.forecast_abs_error").observe(mean_err)
-            tl = obs.get_timeline()
-            if tl.enabled:
-                tl.event(
+            w = obs.current()
+            if w is not None:
+                w.timeline.event(
                     "forecast-sweep", t=t, mean_cpu_abs_error=mean_err,
                     nodes=len(cpu_errors),
                 )
@@ -132,18 +132,6 @@ class ResourceMonitor:
         return np.array(
             [self.forecast(n, attribute) for n in range(self.cluster.num_nodes)]
         )
-
-    def current_matrix(self) -> dict[str, np.ndarray]:
-        """Latest measurements per attribute across all nodes."""
-        return {
-            attr: np.array(
-                [
-                    self._streams[(n, attr)].last
-                    for n in range(self.cluster.num_nodes)
-                ]
-            )
-            for attr in ATTRIBUTES
-        }
 
     def stream(self, node_id: int, attribute: str) -> MeasurementStream:
         """Raw measurement stream (inspection / tests)."""

@@ -4,11 +4,12 @@ The paper argues runtime management must be measurement-driven; this
 package turns the same lens on the reproduction itself.  A collection
 window holds one :class:`~repro.obs.metrics.MetricsRegistry`, one
 :class:`~repro.obs.tracing.Tracer` and one
-:class:`~repro.obs.timeline.TimelineRecorder`.  Outside a window the
-sinks are zero-cost null implementations, so instrumented hot paths (the
+:class:`~repro.obs.timeline.TimelineRecorder`.  Outside a window there
+is no sink at all: :func:`current` answers ``None`` and the helpers hand
+out one shared no-op instrument or span, so instrumented hot paths (the
 execution simulator, the meta-partitioner, the CATALINA message center,
-the resource monitor) pay nothing.  Windows are context-local: each
-thread sees only the window it opened itself.
+the resource monitor) pay one context lookup.  Windows are
+context-local: each thread sees only the window it opened itself.
 
 Usage::
 
@@ -23,8 +24,9 @@ Usage::
 
 Instrumented call sites go through the module-level helpers
 (:func:`counter`, :func:`gauge`, :func:`histogram`, :func:`span`,
-:func:`handler_span`, :func:`get_timeline`), which dispatch to the
-current context's registry, tracer and timeline.
+:func:`handler_span`).  A call site that needs a sink itself (a timeline
+event, a flow id) writes ``w = obs.current()`` and then
+``if w is not None:``.
 """
 
 from __future__ import annotations
@@ -43,10 +45,8 @@ from repro.obs.benchdiff import (
 from repro.obs.chrome import chrome_trace_events, collect_trace
 from repro.obs.export import export_json, export_jsonl, observability_snapshot
 from repro.obs.live import (
-    NULL_FLIGHT,
     FlightRecorder,
     HealthStatus,
-    NullFlightRecorder,
     SloTracker,
     SnapshotExporter,
     render_dashboard,
@@ -58,23 +58,19 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullRegistry,
 )
-from repro.obs.timeline import NullTimeline, TimelineRecorder
-from repro.obs.tracing import _NULL_SPAN, FlowRecord, NullTracer, SpanRecord, Tracer
+from repro.obs.timeline import TimelineRecorder
+from repro.obs.tracing import _NULL_SPAN, FlowRecord, SpanRecord, Tracer
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullRegistry",
     "Tracer",
-    "NullTracer",
     "SpanRecord",
     "FlowRecord",
     "TimelineRecorder",
-    "NullTimeline",
     "Alert",
     "EwmaDetector",
     "detect_series",
@@ -92,13 +88,8 @@ __all__ = [
     "SnapshotExporter",
     "SloTracker",
     "FlightRecorder",
-    "NullFlightRecorder",
-    "NULL_FLIGHT",
     "HealthStatus",
-    "get_registry",
-    "get_tracer",
-    "get_timeline",
-    "enabled",
+    "current",
     "collect",
     "counter",
     "gauge",
@@ -109,35 +100,6 @@ __all__ = [
     "export_jsonl",
     "observability_snapshot",
 ]
-
-_NULL_SINKS = (NullRegistry(), NullTracer(), NullTimeline())
-
-#: the ``(registry, tracer, timeline)`` triple the helpers write to.
-#: Context-local, so a window opened by one thread (or task) is never
-#: seen by another; every new thread starts with the null sinks.
-_sinks: ContextVar[tuple[MetricsRegistry, Tracer, TimelineRecorder]] = (
-    ContextVar("repro_obs_sinks", default=_NULL_SINKS)
-)
-
-
-def get_registry() -> MetricsRegistry:
-    """The current context's metrics registry (null when disabled)."""
-    return _sinks.get()[0]
-
-
-def get_tracer() -> Tracer:
-    """The current context's tracer (null when disabled)."""
-    return _sinks.get()[1]
-
-
-def get_timeline() -> TimelineRecorder:
-    """The current context's timeline recorder (null when disabled)."""
-    return _sinks.get()[2]
-
-
-def enabled() -> bool:
-    """True when a collection window is open in the current context."""
-    return _sinks.get()[0].enabled
 
 
 class _CollectionWindow:
@@ -151,45 +113,58 @@ class _CollectionWindow:
         self.timeline = TimelineRecorder()
 
     def __enter__(self) -> _CollectionWindow:
-        self._token = _sinks.set((self.registry, self.tracer, self.timeline))
+        self._token = _window.set(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        _sinks.reset(self._token)
+        _window.reset(self._token)
+
+
+#: the open collection window, or ``None`` outside one.  Context-local,
+#: so a window opened by one thread (or task) is never seen by another;
+#: every new thread starts with none.
+_window: ContextVar[_CollectionWindow | None] = ContextVar(
+    "repro_obs_window", default=None
+)
+
+
+def current() -> _CollectionWindow | None:
+    """The collection window open in the current context, or ``None``."""
+    return _window.get()
 
 
 def collect() -> _CollectionWindow:
     """Context manager opening a fresh collection window.
 
-    The window's sinks are installed in the current context only; on
-    exit the sinks that were current before (usually the null defaults)
-    come back.  The window keeps its ``registry``, ``tracer`` and
-    ``timeline`` for inspection and export.
+    The window is installed in the current context only; on exit the
+    window that was current before (usually none) comes back.  The
+    window keeps its ``registry``, ``tracer`` and ``timeline`` for
+    inspection and export.
     """
     return _CollectionWindow()
 
 
 # -- instrumentation helpers (what call sites import) -------------------------
 #
-# With no window open a helper costs one ContextVar.get() plus an
-# identity check, and returns the shared null instrument or span: no
-# registry dispatch, no allocation beyond the call's own arguments.
+# With no window open a helper costs one ContextVar.get() plus a None
+# check, and returns the shared null instrument or span: no registry
+# dispatch, no allocation beyond the call's own arguments.
 
 
 def counter(name: str, **labels: object) -> Counter:
     """Counter from the installed registry (no-op when disabled)."""
-    sinks = _sinks.get()
-    if sinks is _NULL_SINKS:
+    w = _window.get()
+    if w is None:
         return _NULL_INSTRUMENT  # type: ignore[return-value]
-    return sinks[0].counter(name, **labels)
+    return w.registry.counter(name, **labels)
 
 
 def gauge(name: str, **labels: object) -> Gauge:
     """Gauge from the installed registry (no-op when disabled)."""
-    sinks = _sinks.get()
-    if sinks is _NULL_SINKS:
+    w = _window.get()
+    if w is None:
         return _NULL_INSTRUMENT  # type: ignore[return-value]
-    return sinks[0].gauge(name, **labels)
+    return w.registry.gauge(name, **labels)
 
 
 def histogram(
@@ -200,18 +175,18 @@ def histogram(
     ``window`` selects the sliding-window mode when the instrument is
     first created (see :class:`~repro.obs.metrics.Histogram`).
     """
-    sinks = _sinks.get()
-    if sinks is _NULL_SINKS:
+    w = _window.get()
+    if w is None:
         return _NULL_INSTRUMENT  # type: ignore[return-value]
-    return sinks[0].histogram(name, window, **labels)
+    return w.registry.histogram(name, window, **labels)
 
 
 def span(name: str, **attrs: object):
     """Span context manager from the installed tracer (no-op when disabled)."""
-    sinks = _sinks.get()
-    if sinks is _NULL_SINKS:
+    w = _window.get()
+    if w is None:
         return _NULL_SPAN
-    return sinks[1].span(name, **attrs)
+    return w.tracer.span(name, **attrs)
 
 
 def handler_span(name: str, message, **attrs: object):
@@ -223,9 +198,9 @@ def handler_span(name: str, message, **attrs: object):
     slice, so trace viewers draw the send → handle arrow.  No-op when
     tracing is disabled.
     """
-    sinks = _sinks.get()
-    if sinks is _NULL_SINKS:
+    w = _window.get()
+    if w is None:
         return _NULL_SPAN
-    return sinks[1].handler_span(
+    return w.tracer.handler_span(
         name, getattr(message, "trace_ctx", None), **attrs
     )

@@ -27,9 +27,9 @@ frameworks make continuous online monitoring a first-class subsystem:
 - :func:`render_dashboard` — the terminal frame ``python -m repro top``
   refreshes from a running server's ``stats-stream``.
 
-The null default costs nothing: a server constructed without
-``LiveObsOptions(enabled=True)`` gets the shared no-op
-:data:`NULL_FLIGHT` recorder, no SLO tracker and no exporter thread.
+The default costs nothing: a server constructed without
+``LiveObsOptions(enabled=True)`` gets no flight recorder, no SLO tracker
+and no exporter thread.
 """
 
 from __future__ import annotations
@@ -53,8 +53,6 @@ __all__ = [
     "SnapshotExporter",
     "SloTracker",
     "FlightRecorder",
-    "NullFlightRecorder",
-    "NULL_FLIGHT",
     "HealthStatus",
     "render_dashboard",
 ]
@@ -449,8 +447,6 @@ class FlightRecorder:
     few under heavy thread contention; the ring content never does.
     """
 
-    enabled = True
-
     def __init__(
         self,
         capacity: int = 256,
@@ -503,30 +499,6 @@ class FlightRecorder:
         )
         write_file(path, payload.encode("utf-8"))
         return len(events)
-
-
-class NullFlightRecorder:
-    """The zero-cost disabled recorder: records nothing, dumps nothing."""
-
-    enabled = False
-    capacity = 0
-    recorded = 0
-
-    def record(self, kind: str, t: float, **attrs: Any) -> None:
-        pass
-
-    def __len__(self) -> int:
-        return 0
-
-    def tail(self, n: int | None = None) -> list[dict[str, Any]]:
-        return []
-
-    def dump(self, path: str | Path) -> int:
-        return 0
-
-
-#: the shared no-op recorder a server without live obs holds
-NULL_FLIGHT = NullFlightRecorder()
 
 
 # -- health --------------------------------------------------------------------

@@ -8,9 +8,10 @@ topic="octant-transition")``), and snapshots the whole collection as plain
 dictionaries for the JSON exporters.
 
 Instrumented call sites must be free when observability is off, so the
-module also defines :class:`NullRegistry`: every instrument it returns is
-a shared no-op singleton, making ``obs.counter(...).inc()`` a pair of
-cheap method calls with no allocation and no bookkeeping.
+module also defines the shared no-op instrument the :mod:`repro.obs`
+helpers return outside a collection window, making
+``obs.counter(...).inc()`` a pair of cheap calls with no allocation and
+no bookkeeping.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullRegistry",
     "DEFAULT_BUCKET_BOUNDS",
     "exponential_bucket_bounds",
     "nearest_rank",
@@ -282,8 +282,6 @@ class MetricsRegistry:
     simulators here).
     """
 
-    enabled = True
-
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: dict[tuple[str, _LabelKey], Counter] = {}
@@ -414,50 +412,3 @@ class _NullInstrument:
 
 
 _NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullRegistry(MetricsRegistry):
-    """The zero-cost default: every instrument is one shared no-op.
-
-    Keeps tier-1 timings honest — with the null registry installed an
-    instrumented call site costs one method call returning a singleton
-    plus one no-op method call, with no locking, lookup or allocation.
-    """
-
-    enabled = False
-
-    def __init__(self) -> None:  # noqa: D107 — deliberately skips parent init
-        pass
-
-    def counter(self, name: str, **labels: object) -> Counter:
-        """The shared no-op instrument."""
-        return _NULL_INSTRUMENT  # type: ignore[return-value]
-
-    def gauge(self, name: str, **labels: object) -> Gauge:
-        """The shared no-op instrument."""
-        return _NULL_INSTRUMENT  # type: ignore[return-value]
-
-    def histogram(
-        self, name: str, window: int | None = None, **labels: object
-    ) -> Histogram:
-        """The shared no-op instrument."""
-        return _NULL_INSTRUMENT  # type: ignore[return-value]
-
-    def counter_value(self, name: str, **labels: object) -> float:
-        """Always 0.0 — nothing is recorded."""
-        return 0.0
-
-    def counter_items(self, name: str) -> list[tuple[dict[str, str], float]]:
-        """Always empty — nothing is recorded."""
-        return []
-
-    def sum_counters(self, name: str) -> float:
-        """Always 0.0 — nothing is recorded."""
-        return 0.0
-
-    def snapshot(self) -> dict:
-        """An empty snapshot."""
-        return {"counters": {}, "gauges": {}, "histograms": {}}
-
-    def reset(self) -> None:
-        """Nothing to reset."""

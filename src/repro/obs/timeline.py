@@ -19,8 +19,8 @@ nearest-rank p50/p95/p99 — and exposes plain per-field :meth:`series
 <TimelineRecorder.series>` for the EWMA anomaly detector
 (:mod:`repro.obs.anomaly`).
 
-A :class:`NullTimeline` keeps the disabled path free: handing it a
-record is one no-op call.
+Outside a collection window there is no recorder: the simulator checks
+``obs.current()`` for ``None`` before handing over a record.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from repro.util.fileio import write_file
 if TYPE_CHECKING:
     from repro.execsim.simulator import StepRecord
 
-__all__ = ["TimelineRecorder", "NullTimeline", "sample_row"]
+__all__ = ["TimelineRecorder", "sample_row"]
 
 #: numeric series (summary + anomaly scans) -> the StepRecord attribute
 SERIES_FIELDS = {
@@ -74,8 +74,6 @@ class TimelineRecorder:
 
     samples: list[StepRecord] = field(default_factory=list)
     events: list[dict] = field(default_factory=list)
-
-    enabled = True
 
     def record(self, record: StepRecord) -> None:
         """Append one committed interval's record."""
@@ -160,34 +158,3 @@ class TimelineRecorder:
         """Drop all samples and events."""
         self.samples.clear()
         self.events.clear()
-
-
-class NullTimeline(TimelineRecorder):
-    """The zero-cost default: records nothing.
-
-    Handing it a record or an event is one no-op call.
-    """
-
-    enabled = False
-
-    def __init__(self) -> None:  # noqa: D107 — deliberately skips parent init
-        pass
-
-    @property
-    def samples(self):  # type: ignore[override]
-        """Always empty."""
-        return ()
-
-    @property
-    def events(self):  # type: ignore[override]
-        """Always empty."""
-        return ()
-
-    def record(self, record: StepRecord) -> None:
-        """Nothing to record."""
-
-    def event(self, kind: str, t: float, **attrs: object) -> None:
-        """Nothing to record."""
-
-    def reset(self) -> None:
-        """Nothing to reset."""

@@ -21,10 +21,9 @@ A span that exits via an exception records ``error: true`` and the
 exception type in its attributes — the exception itself propagates
 unchanged, and the per-thread stack still unwinds.
 
-As with the metrics registry, a :class:`NullTracer` keeps the disabled
-path free: its ``span`` returns one shared context manager whose
-``__enter__``/``__exit__`` do nothing, ``new_flow`` answers ``0`` and the
-flow recorders are no-ops.
+Outside a collection window there is no tracer: :func:`repro.obs.span`
+returns one shared context manager whose ``__enter__``/``__exit__`` do
+nothing, and a sender mints no flow id.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-__all__ = ["SpanRecord", "FlowRecord", "Tracer", "NullTracer"]
+__all__ = ["SpanRecord", "FlowRecord", "Tracer"]
 
 
 @dataclass(slots=True)
@@ -169,8 +168,6 @@ class _FlowSpan:
 
 class Tracer:
     """Collects nested wall-clock spans and causal flows."""
-
-    enabled = True
 
     def __init__(self) -> None:
         self.epoch = time.perf_counter()
@@ -331,58 +328,3 @@ class _NullSpan:
 
 
 _NULL_SPAN = _NullSpan()
-
-
-class NullTracer(Tracer):
-    """The zero-cost default tracer: spans and flows are shared no-ops."""
-
-    enabled = False
-
-    def __init__(self) -> None:  # noqa: D107 — deliberately skips parent init
-        self.epoch = 0.0
-        self.records = ()  # type: ignore[assignment]
-        self.flows = ()  # type: ignore[assignment]
-
-    def span(self, name: str, **attrs: object) -> _Span:
-        """The shared no-op context manager."""
-        return _NULL_SPAN  # type: ignore[return-value]
-
-    def handler_span(
-        self, name: str, flow_id: int | None, **attrs: object
-    ) -> _FlowSpan:
-        """The shared no-op context manager."""
-        return _NULL_SPAN  # type: ignore[return-value]
-
-    def new_flow(self) -> int:
-        """Always 0 — no flow is recorded."""
-        return 0
-
-    def flow_start(self, flow_id: int) -> None:
-        """Nothing to record."""
-
-    def flow_end(self, flow_id: int) -> None:
-        """Nothing to record."""
-
-    def import_spans(
-        self,
-        span_dicts: list[dict],
-        *,
-        prefix: str = "",
-        offset: float = 0.0,
-    ) -> None:
-        """Nothing to merge into."""
-
-    def totals_by_path(self) -> dict[str, float]:
-        """Always empty."""
-        return {}
-
-    def counts_by_path(self) -> dict[str, int]:
-        """Always empty."""
-        return {}
-
-    def to_dicts(self) -> list[dict]:
-        """Always empty."""
-        return []
-
-    def reset(self) -> None:
-        """Nothing to reset."""

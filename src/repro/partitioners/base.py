@@ -186,8 +186,8 @@ class Partition:
 
         Found on the owner lattice with one strided compare per axis,
         concatenated axis-major in C order — the order in which
-        :meth:`CompositeUnits.adjacency_arrays` lists the pairs — so
-        only the cut pairs are ever gathered.
+        :meth:`CompositeUnits.pair_geometry` lists the pairs — so only
+        the cut pairs are ever gathered.
         """
         record = self._cut
         if record is None:

@@ -124,34 +124,15 @@ class CompositeUnits:
             out.append(np.minimum(lo + g, self.domain.hi[axis]) - lo)
         return out
 
-    def unit_shapes(self) -> np.ndarray:
-        """(n, 3) extent of each unit in base cells (edge units clipped)."""
-        ex, ey, ez = self._extents()
-        return np.column_stack(
-            [ex[self.ijk[:, 0]], ey[self.ijk[:, 1]], ez[self.ijk[:, 2]]]
-        )
-
-    def adjacency_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized adjacency: (i, j, axis) arrays of curve positions.
-
-        Pairs are listed axis-major, each axis in C order over the lower
-        endpoint's lattice coordinates.  ``i`` and ``j`` are memoized
-        process-wide and read-only (copy before mutating); ``axis`` is
-        built on each call.
-        """
-        geo = self.pair_geometry()
-        nx, ny, nz = self.grid_shape
-        per_axis = [(nx - 1) * ny * nz, nx * (ny - 1) * nz, nx * ny * (nz - 1)]
-        return geo.i, geo.j, np.repeat(np.arange(3), per_axis)
-
     def pair_geometry(self) -> _UnitGeometry:
         """The memoized geometry of this unit lattice (read-only arrays).
 
         A pure function of ``(domain, granularity, curve)``: adjacency
         pairs, the face area of each pair and the cell count of each
-        unit.  Both endpoints of an axis-``a`` pair share their other
-        two lattice coordinates, so the face is the product of the
-        extents along those two axes.
+        unit.  Pairs are listed axis-major, each axis in C order over the
+        lower endpoint's lattice coordinates.  Both endpoints of an
+        axis-``a`` pair share their other two lattice coordinates, so the
+        face is the product of the extents along those two axes.
         """
         memo_key = (self.domain, self.granularity, self.curve)
         cached = _GEOMETRY_MEMO.get(memo_key)

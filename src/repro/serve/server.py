@@ -39,7 +39,7 @@ from typing import Any, Callable, Sequence
 
 from repro.agents.message_center import DeliveryPolicy
 from repro.config import LiveObsOptions
-from repro.obs.live import HealthStatus, SnapshotExporter
+from repro.obs.live import FlightRecorder, HealthStatus, SnapshotExporter
 from repro.obs.metrics import MetricsRegistry
 from repro.partitioners import deterministic_partition_time
 from repro.serve.protocol import PRIORITIES
@@ -253,7 +253,7 @@ class ScenarioServer:
         #: ``metrics`` exposition endpoint and the live dashboard
         self.metrics = MetricsRegistry()
         self.live_obs = live_obs if live_obs is not None else LiveObsOptions()
-        self._flight = self.live_obs.build_flight_recorder(
+        self._flight: FlightRecorder | None = self.live_obs.build_flight_recorder(
             wall_clock=self.clock if clock is not None else None
         )
         self._slo = (
@@ -353,7 +353,7 @@ class ScenarioServer:
         # every job event funnels through here — both the server's own
         # _emit and the scheduler's _event — so this is the one flight
         # recorder tap point
-        if self._flight.enabled:
+        if self._flight is not None:
             # event attrs win over the job-derived fields (e.g. the
             # "queued" event already carries priority)
             self._flight.record(kind, t, **{
@@ -763,7 +763,10 @@ class ScenarioServer:
             "health": self.health().to_dict(),
             "latency": latency,
             "slo": self._slo.summary() if self._slo is not None else None,
-            "flight_tail": self._flight.tail(flight_tail),
+            "flight_tail": (
+                self._flight.tail(flight_tail)
+                if self._flight is not None else []
+            ),
         }
         return doc
 
@@ -776,7 +779,7 @@ class ScenarioServer:
         ``flight_dump_path``); returns the number of events written,
         0 when there is nowhere to write or nothing recorded."""
         target = path if path is not None else self.live_obs.flight_dump_path
-        if target is None or not self._flight.enabled:
+        if target is None or self._flight is None:
             return 0
         return self._flight.dump(target)
 
@@ -822,10 +825,6 @@ class ServerHandle:
     def health(self) -> dict[str, Any]:
         """Liveness/readiness document (see :meth:`ScenarioServer.health`)."""
         return self._server.health().to_dict()
-
-    def metrics_text(self) -> str:
-        """Prometheus text exposition of the server's ``serve.*`` metrics."""
-        return self._server.scrape_metrics()
 
     def close(self) -> None:
         """Shut the server down (graceful: drains admitted work)."""

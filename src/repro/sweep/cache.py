@@ -6,7 +6,9 @@ the code salt (:func:`code_salt`, a hash of the package's own source),
 so any edit to the code invalidates every entry at once, and bumping one
 scenario's ``version`` invalidates just that scenario.  Entries are
 checksummed records (:func:`repro.util.fileio.write_record`) with the
-salt in their header; one that fails validation is a miss.
+salt in their header; one that fails validation is a miss.  The first
+write through a :class:`ResultCache` deletes the entries an older salt
+left behind, since no key can address them again.
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ __all__ = ["ResultCache", "cache_key", "code_salt"]
 
 #: header ``format`` of a cache entry
 FORMAT_NAME = "repro-result-v1"
+#: the most of an entry read when looking for its salt (a header is
+#: about 250 bytes; a longer first line is not a header)
+_MAX_HEADER_BYTES = 4096
 
 
 @functools.cache
@@ -74,6 +79,7 @@ class ResultCache:
         if directory is None:
             directory = Path(__file__).resolve().parents[3] / ".cache" / "sweep"
         self.directory = Path(directory)
+        self._stale_dropped = False
 
     def path_for(self, key: str) -> Path:
         """Filesystem path of the entry addressed by ``key``."""
@@ -89,7 +95,34 @@ class ResultCache:
         return None if reason is not None else json.loads(payload.decode())
 
     def put(self, key: str, document: dict[str, Any]) -> Path:
-        """Store ``document`` under ``key`` durably; returns its path."""
+        """Store ``document`` under ``key`` durably; returns its path.
+
+        The first put of this instance first drops the stale entries
+        (see :meth:`_drop_stale`).
+        """
+        if not self._stale_dropped:
+            # two threads racing here both scan; each unlink is idempotent
+            self._stale_dropped = True
+            self._drop_stale()
         payload = json.dumps(document, separators=(",", ":")).encode()
         return write_record(self.path_for(key), FORMAT_NAME, payload,
                             salt=code_salt())
+
+    def _drop_stale(self) -> None:
+        """Unlink every entry whose header carries a salt other than
+        :func:`code_salt`.
+
+        Only the header line is read.  An entry whose header does not
+        parse stays: it is a miss, overwritten by the next put of its key.
+        """
+        salt = code_salt()
+        for path in self.directory.glob("*.json"):
+            try:
+                with open(path, "rb") as fh:
+                    header = json.loads(fh.readline(_MAX_HEADER_BYTES))
+                if (isinstance(header, dict)
+                        and header.get("format") == FORMAT_NAME
+                        and header.get("salt", salt) != salt):
+                    path.unlink()
+            except (OSError, ValueError):
+                pass

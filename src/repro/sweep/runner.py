@@ -288,11 +288,11 @@ class SweepRunner:
         """Fan misses across the pool; returns results keyed by task index."""
         cache_dir = str(self.cache_dir) if self.cache_dir is not None else None
         out: dict[int, TaskResult] = {}
-        tracer = obs.get_tracer()
-        collect_spans = tracer.enabled
+        w = obs.current()
+        collect_spans = w is not None
         with obs.span("sweep.batch", jobs=self.jobs, tasks=len(misses)):
             batch_t0 = (
-                time.perf_counter() - tracer.epoch if collect_spans else 0.0
+                time.perf_counter() - w.tracer.epoch if w is not None else 0.0
             )
             with ProcessPoolExecutor(
                 max_workers=min(self.jobs, len(misses)),
@@ -318,11 +318,11 @@ class SweepRunner:
                             wall_s=payload["wall_s"],
                             result=payload["result"],
                         )
-                        if collect_spans and payload.get("spans"):
+                        if w is not None and payload.get("spans"):
                             # Graft the worker's span tree into the parent
                             # trace, re-rooted under a per-scenario prefix
                             # and shifted to the batch's start time.
-                            tracer.import_spans(
+                            w.tracer.import_spans(
                                 payload["spans"],
                                 prefix=f"sweep.worker/{scenario.name}",
                                 offset=batch_t0,

@@ -209,29 +209,7 @@ class TestFaultTolerantReplay:
             sim.run(small_rm3d_trace, StaticSelector(ISPPartitioner()))
 
 
-class TestRuntimeConfig:
-    def test_runtime_config_composes_fault_tolerance(self):
-        """RuntimeConfig folds its composed FaultTolerance into the simulator."""
-        from repro.config import RuntimeConfig
-        from repro.resilience import FaultTolerance
-
-        config = RuntimeConfig()
-        ft = config.fault_tolerance()
-        assert isinstance(ft, FaultTolerance)
-        sim = config.build_simulator(sp2_blue_horizon(4))
-        assert sim.fault_tolerance is not None
-        assert sim.fault_tolerance.detector == config.detector
-
-    def test_runtime_config_respects_explicit_simulator_ft(self):
-        """An explicit SimulatorOptions.fault_tolerance is not overwritten."""
-        from repro.config import RuntimeConfig
-        from repro.resilience import FaultTolerance
-
-        ft = FaultTolerance()
-        config = RuntimeConfig(simulator=SimulatorOptions(fault_tolerance=ft))
-        sim = config.build_simulator(sp2_blue_horizon(4))
-        assert sim.fault_tolerance is ft
-
+class TestSimulatorOptions:
     def test_legacy_keywords_rejected(self):
         """Simulator tuning goes through SimulatorOptions only."""
         with pytest.raises(TypeError):

@@ -42,6 +42,7 @@ def _load_reference(name: str):
 
 
 ref_costmodel = _load_reference("ref_costmodel")
+ref_geometry = _load_reference("ref_geometry")
 
 
 def digest(arr: np.ndarray) -> str:
@@ -147,8 +148,8 @@ class TestRealUnitsDifferential:
         cost = CostModel()
         for hierarchy in _hierarchy_corpus():
             units = build_units(hierarchy, granularity=4)
-            i, j, axis = units.adjacency_arrays()
-            shapes = units.unit_shapes()
+            i, j, axis = ref_geometry.adjacency_arrays(units)
+            shapes = ref_geometry.unit_shapes(units)
             for name in ("ISP", "G-MISP+SP"):
                 part = PARTITIONER_REGISTRY[name]().partition(units, 8)
                 got = comm_cost_terms(
@@ -169,9 +170,9 @@ class TestRealUnitsDifferential:
         cost = CostModel()
         bandwidth = 1e8
         got, ghost = per_step_comm_times(part, cost, bandwidth)
-        i, j, axis = units.adjacency_arrays()
+        i, j, axis = ref_geometry.adjacency_arrays(units)
         comm_bytes, neighbor_count, want_ghost = ref_costmodel.comm_cost_terms(
-            i, j, axis, part.assignment, units.unit_shapes(), units.loads,
+            i, j, axis, part.assignment, ref_geometry.unit_shapes(units), units.loads,
             8, cost.ghost_width, cost.bytes_per_comm_unit,
         )
         msg_factor = float(part.params.get("messages_per_neighbor", 3.0))
@@ -195,8 +196,8 @@ def test_golden_costmodel_corpus():
         case = json.loads((TESTS / "golden" / f"{case_name}.json").read_text())
         hierarchy = GridHierarchy.from_dict(case["hierarchy"])
         units = build_units(hierarchy, granularity=doc["granularity"])
-        i, j, axis = units.adjacency_arrays()
-        shapes = units.unit_shapes()
+        i, j, axis = ref_geometry.adjacency_arrays(units)
+        shapes = ref_geometry.unit_shapes(units)
         for name, want in entry.items():
             part = PARTITIONER_REGISTRY[name]().partition(
                 units, doc["num_procs"]

@@ -51,6 +51,7 @@ ref_pbd = _load_reference("ref_pbd")
 ref_workload = _load_reference("ref_workload")
 ref_metrics = _load_reference("ref_metrics")
 ref_signals = _load_reference("ref_signals")
+ref_geometry = _load_reference("ref_geometry")
 
 
 def digest(arr: np.ndarray) -> str:
@@ -368,12 +369,12 @@ def _cut_cases():
 
 def _assert_metrics_match(part: Partition) -> None:
     units = part.units
-    i, j, axis = units.adjacency_arrays()
+    i, j, axis = ref_geometry.adjacency_arrays(units)
     assert part.rect_fragments() == ref_metrics.rect_fragments(
         part.owner_lattice()
     )
     assert _comm_volume(part.cut()) == ref_metrics.comm_volume(
-        i, j, axis, part.assignment, units.unit_shapes(), units.loads
+        i, j, axis, part.assignment, ref_geometry.unit_shapes(units), units.loads
     )
 
 
@@ -410,8 +411,8 @@ class TestMetricDifferential:
         offset = clipped = False
         for part in _cut_cases():
             units = part.units
-            i, j, axis = units.adjacency_arrays()
-            shapes = units.unit_shapes()
+            i, j, axis = ref_geometry.adjacency_arrays(units)
+            shapes = ref_geometry.unit_shapes(units)
             want = np.flatnonzero(part.assignment[i] != part.assignment[j])
             # as the oracles form them, over all pairs
             cells = shapes.prod(axis=1).astype(float)
@@ -469,7 +470,7 @@ class TestMetricDifferential:
             boxes = np.array(
                 [units.unit_box(k).shape for k in range(len(units))]
             )
-            np.testing.assert_array_equal(units.unit_shapes(), boxes)
+            np.testing.assert_array_equal(ref_geometry.unit_shapes(units), boxes)
 
     def test_refined_mask_matches_oracle(self):
         hierarchies = _hierarchy_corpus() + [_clipped_hierarchy()]

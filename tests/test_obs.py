@@ -14,16 +14,16 @@ from repro.core.meta_partitioner import MetaPartitioner
 from repro.execsim import ExecutionSimulator, StaticSelector
 from repro.gridsys import sp2_blue_horizon
 from repro.obs.export import export_json, export_jsonl, observability_snapshot
-from repro.obs.metrics import MetricsRegistry, NullRegistry
-from repro.obs.tracing import NullTracer, Tracer
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracing import Tracer
 from repro.partitioners import ISPPartitioner
 
 
 @pytest.fixture(autouse=True)
 def _obs_disabled_between_tests():
-    assert not obs.enabled()
+    assert obs.current() is None
     yield
-    assert not obs.enabled()
+    assert obs.current() is None
 
 
 class TestMetricsRegistry:
@@ -90,9 +90,7 @@ class TestMetricsRegistry:
 
 class TestNullDefaults:
     def test_disabled_by_default(self):
-        assert not obs.enabled()
-        assert isinstance(obs.get_registry(), NullRegistry)
-        assert isinstance(obs.get_tracer(), NullTracer)
+        assert obs.current() is None
 
     def test_null_instruments_record_nothing(self):
         obs.counter("x").inc()
@@ -100,10 +98,10 @@ class TestNullDefaults:
         obs.histogram("z").observe(1.0)
         with obs.span("nothing"):
             pass
-        assert obs.get_registry().snapshot() == {
-            "counters": {}, "gauges": {}, "histograms": {}
-        }
-        assert obs.get_tracer().to_dicts() == []
+        assert obs.counter("x").value == 0.0
+        assert obs.gauge("y").value == 0.0
+        assert obs.histogram("z").count == 0
+        assert obs.current() is None
 
     def test_null_instruments_are_shared_singletons(self):
         assert obs.counter("a") is obs.counter("b")
@@ -111,19 +109,23 @@ class TestNullDefaults:
 
     def test_enable_disable(self):
         with obs.collect() as window:
-            assert obs.enabled()
-            assert obs.get_registry() is window.registry
-            assert obs.get_tracer() is window.tracer
+            assert obs.current() is window
             obs.counter("x").inc()
+            with obs.span("s"):
+                pass
         assert window.registry.counter_value("x") == 1.0
-        assert not obs.enabled()
+        assert [r["name"] for r in window.tracer.to_dicts()] == ["s"]
+        assert obs.current() is None
 
     def test_collect_window_restores_previous(self):
-        with obs.collect() as window:
-            assert obs.enabled()
-            obs.counter("inside").inc()
-        assert not obs.enabled()
+        with obs.collect() as outer:
+            with obs.collect() as window:
+                assert obs.current() is window
+                obs.counter("inside").inc()
+            assert obs.current() is outer
+        assert obs.current() is None
         assert window.registry.counter_value("inside") == 1.0
+        assert outer.registry.counter_value("inside") == 0.0
 
 
 class TestContextLocalWindows:
@@ -141,7 +143,7 @@ class TestContextLocalWindows:
                 barrier.wait()  # A entered
                 barrier.wait()  # B entered
                 obs.counter("a").inc()
-            enabled_after["a"] = obs.enabled()
+            enabled_after["a"] = obs.current() is not None
             windows["a"] = window
             barrier.wait()  # A exited
 
@@ -152,7 +154,7 @@ class TestContextLocalWindows:
                 barrier.wait()
                 barrier.wait()
                 obs.counter("b").inc()
-            enabled_after["b"] = obs.enabled()
+            enabled_after["b"] = obs.current() is not None
             windows["b"] = window
 
         threads = [threading.Thread(target=fn) for fn in (thread_a, thread_b)]
@@ -165,17 +167,17 @@ class TestContextLocalWindows:
         assert windows["b"].registry.counter_value("b") == 2.0
         assert windows["b"].registry.counter_value("a") == 0.0
         assert enabled_after == {"a": False, "b": False}
-        assert not obs.enabled()
+        assert obs.current() is None
 
     def test_new_thread_starts_with_null_sinks(self):
         seen = {}
         with obs.collect():
             t = threading.Thread(
-                target=lambda: seen.update(enabled=obs.enabled())
+                target=lambda: seen.update(window=obs.current())
             )
             t.start()
             t.join(timeout=10)
-        assert seen == {"enabled": False}
+        assert seen == {"window": None}
 
 
 class TestTracer:
@@ -396,7 +398,7 @@ class TestRunReport:
             collect_run_report(app=object())
 
     def test_collection_disabled_after_report(self, tiny_report):
-        assert not obs.enabled()
+        assert obs.current() is None
 
 
 class TestReportCli:

@@ -16,7 +16,6 @@ import pytest
 
 from repro.config import LiveObsOptions
 from repro.obs.live import (
-    NULL_FLIGHT,
     FlightRecorder,
     HealthStatus,
     SloTracker,
@@ -309,14 +308,6 @@ class TestFlightRecorder:
         assert lines[0]["dumped"] == 2
         assert [ln["kind"] for ln in lines[1:]] == ["shed", "shed"]
 
-    def test_null_recorder_is_inert(self, tmp_path):
-        NULL_FLIGHT.record("x", 0.0)
-        assert len(NULL_FLIGHT) == 0
-        assert NULL_FLIGHT.tail() == []
-        assert NULL_FLIGHT.dump(tmp_path / "nope.jsonl") == 0
-        assert not (tmp_path / "nope.jsonl").exists()
-        assert not NULL_FLIGHT.enabled
-
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             FlightRecorder(capacity=0)
@@ -329,7 +320,7 @@ class TestLiveObsOptions:
     def test_disabled_default_builds_null_flight(self):
         opts = LiveObsOptions()
         assert not opts.enabled
-        assert opts.build_flight_recorder() is NULL_FLIGHT
+        assert opts.build_flight_recorder() is None
 
     def test_enabled_builds_real_components(self):
         opts = LiveObsOptions(enabled=True, flight_capacity=7,

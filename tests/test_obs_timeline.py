@@ -13,7 +13,7 @@ from repro import obs
 from repro.execsim.simulator import StepRecord
 from repro.obs.anomaly import Alert, EwmaDetector, detect_alerts, detect_series
 from repro.obs.metrics import Histogram, nearest_rank
-from repro.obs.timeline import NullTimeline, TimelineRecorder, sample_row
+from repro.obs.timeline import TimelineRecorder, sample_row
 from repro.partitioners.metrics import PACMetrics
 
 _METRICS = PACMetrics(
@@ -144,23 +144,14 @@ class TestTimelineRecorder:
 
 
 class TestNullTimeline:
-    def test_records_nothing(self):
-        tl = NullTimeline()
-        assert not tl.enabled
-        tl.record(_record(0))
-        tl.event("checkpoint", t=0.0)
-        assert tl.samples == () and tl.events == ()
-        assert tl.summary()["num_samples"] == 0
-
     def test_installed_by_default(self):
-        assert not obs.get_timeline().enabled
+        assert obs.current() is None
 
     def test_collect_installs_and_restores(self):
-        before = obs.get_timeline()
         with obs.collect() as window:
-            assert obs.get_timeline() is window.timeline
-            assert window.timeline.enabled
-        assert obs.get_timeline() is before
+            assert obs.current() is window
+            assert isinstance(window.timeline, TimelineRecorder)
+        assert obs.current() is None
 
 
 class TestSimulatorTimeline:
@@ -226,14 +217,20 @@ class TestSimulatorTimeline:
             assert kinds.get("recovery", 0) == res.num_recoveries
             assert any(s.recoveries for s in window.timeline.samples)
 
-    def test_disabled_path_records_nothing(self, small_rm3d_trace):
+    def test_disabled_path_records_nothing(self, small_rm3d_trace, monkeypatch):
         from repro.execsim import ExecutionSimulator, StaticSelector
         from repro.gridsys import sp2_blue_horizon
         from repro.partitioners import ISPPartitioner
 
+        def refuse(*args, **kwargs):
+            raise AssertionError("a timeline was written outside a window")
+
+        monkeypatch.setattr(TimelineRecorder, "record", refuse)
+        monkeypatch.setattr(TimelineRecorder, "event", refuse)
         sim = ExecutionSimulator(sp2_blue_horizon(8), num_procs=8)
-        sim.run(small_rm3d_trace, StaticSelector(ISPPartitioner()))
-        assert obs.get_timeline().samples == ()
+        res = sim.run(small_rm3d_trace, StaticSelector(ISPPartitioner()))
+        assert res.records
+        assert obs.current() is None
 
 
 class TestSinkCoverage:

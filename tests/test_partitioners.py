@@ -70,11 +70,11 @@ class TestBuildUnits:
         wm = WorkloadMap(Box((0, 0, 0), (10, 6, 6)), np.ones((10, 6, 6)))
         u = build_units(wm, granularity=4)
         assert u.total_load == pytest.approx(360.0)
-        shapes = u.unit_shapes()
+        shapes = np.array([u.unit_box(k).shape for k in range(len(u))])
         assert shapes.min() >= 1 and shapes.max() <= 4
 
     def test_adjacency_symmetric_and_complete(self, units):
-        i, j, axis = units.adjacency_arrays()
+        i = units.pair_geometry().i
         nx, ny, nz = units.grid_shape
         expected = ((nx - 1) * ny * nz + nx * (ny - 1) * nz + nx * ny * (nz - 1))
         assert len(i) == expected

@@ -19,7 +19,7 @@ import pytest
 
 from repro.cli import main
 from repro.config import LiveObsOptions
-from repro.obs.live import NULL_FLIGHT, CONTENT_TYPE, FlightRecorder
+from repro.obs.live import CONTENT_TYPE, FlightRecorder
 from repro.serve.jsonl import Session, serve_socket
 from repro.serve.protocol import ProtocolError, parse_request
 from repro.serve.server import ScenarioServer
@@ -396,9 +396,9 @@ class TestTopVerb:
 
 
 class TestDisabledPathOverhead:
-    def test_default_server_has_no_live_machinery(self):
+    def test_default_server_has_no_live_machinery(self, tmp_path):
         with make_server(workers=1) as server:
-            assert server._flight is NULL_FLIGHT
+            assert server._flight is None
             assert server._slo is None
             assert server._exporter is None
             assert server._latency_window is None
@@ -409,6 +409,8 @@ class TestDisabledPathOverhead:
             snap = server.live_snapshot()
             assert snap["slo"] is None
             assert snap["flight_tail"] == []
+            assert server.dump_flight(tmp_path / "none.jsonl") == 0
+            assert not (tmp_path / "none.jsonl").exists()
 
     def test_stats_shape_unchanged_and_empty_initially(self):
         server = make_server(workers=1, start=False)

@@ -186,6 +186,30 @@ class TestResultCache:
         header = json.loads(path.read_bytes().partition(b"\n")[0])
         assert header["salt"] == code_salt()
 
+    def test_first_put_drops_entries_of_another_salt(self, tmp_path, monkeypatch):
+        """An entry written under an older code salt is deleted by the
+        first put of a later cache; an unframed file is left alone."""
+        from repro.sweep import cache as cache_mod
+
+        old_key = cache_key("t", {"a": 1})
+        stale = ResultCache(tmp_path).put(old_key, {"result": 1})
+        unframed = tmp_path / "unframed.json"
+        unframed.write_text(json.dumps({"result": 2}))
+        monkeypatch.setattr(cache_mod.np, "__version__", "0.0-other")
+        code_salt.cache_clear()
+        try:
+            assert code_salt().endswith(":numpy-0.0-other")
+            cache = ResultCache(tmp_path)
+            new_key = cache_key("t", {"a": 1})
+            assert new_key != old_key
+            cache.put(new_key, {"result": 3})
+            assert not stale.exists()
+            assert cache.get(new_key) == {"result": 3}
+            assert unframed.exists()
+        finally:
+            monkeypatch.undo()
+            code_salt.cache_clear()
+
     def test_concurrent_puts_of_one_key(self, tmp_path):
         """Threads of one process writing the same key each get their
         own temp file: no writer fails, none publishes a partial file."""

@@ -47,21 +47,19 @@ def fresh_memo():
 
 def test_one_entry_serves_adjacency_and_shapes():
     u = _units(8, granularity=3)
-    i, j, axis = u.adjacency_arrays()
     geo = u.pair_geometry()
     assert geo is units_mod._GEOMETRY_MEMO[(u.domain, u.granularity, u.curve)]
-    assert geo.i is i and geo.j is j
+    assert u.pair_geometry().i is geo.i and u.pair_geometry().j is geo.j
     assert len(units_mod._GEOMETRY_MEMO) == 1
     # a second units object over the same lattice shares the entry
     v = _units(8, granularity=3)
     assert v.pair_geometry() is geo
-    assert v.adjacency_arrays()[0] is i
+    assert v.pair_geometry().i is geo.i
     for arr in (geo.i, geo.j, geo.face, geo.cells):
         assert not arr.flags.writeable
-    # shapes are built per call, not held, and agree with the memo's
-    # cell counts (tests/test_kernels.py checks the face areas)
-    shapes = u.unit_shapes()
-    assert shapes is not u.unit_shapes()
+    # the memo's cell counts agree with the units' clipped boxes
+    # (tests/test_kernels.py checks the face areas)
+    shapes = np.array([u.unit_box(k).shape for k in range(len(u))])
     assert np.array_equal(geo.cells, shapes.prod(axis=1).astype(float))
     clear_adjacency_memo()
     assert not units_mod._GEOMETRY_MEMO
@@ -111,7 +109,7 @@ def test_concurrent_workers_share_the_memo(monkeypatch):
             for k in range(len(lattices)):
                 nx, curve = lattices[(k + offset) % len(lattices)]
                 u = _units(nx, curve=curve)
-                i, j, axis = u.adjacency_arrays()
+                i = u.pair_geometry().i
                 assert u.pair_geometry().cells.sum() == nx * 3 * 2
                 assert i.size == (nx - 1) * 6 + nx * 2 * 2 + nx * 3
         except BaseException as exc:  # pragma: no cover - failure path
