@@ -9,12 +9,7 @@ Two jobs:
    cost something).  The disabled helpers' own cost is reported as ns
    per call of ``counter().inc()``, ``histogram().observe()`` and an
    empty ``span`` block.
-2. Measure the serving runtime's live-telemetry overhead: the shed-path
-   submit cost (cheap, deterministic, no execution) with live obs
-   enabled vs the zero-cost disabled default.  The machine-independent
-   gate leaf ``live_telemetry.overhead_ok`` asserts the ratio stays
-   within a generous bound; the raw timings live under ``wall_clock``.
-3. Write a ``BENCH_obs.json`` perf snapshot — per-phase simulated
+2. Write a ``BENCH_obs.json`` perf snapshot — per-phase simulated
    seconds, the timeline summary (per-series tail quantiles over the
    simulator's per-interval records), anomaly alerts,
    partitioner switching, message counters and sweep task-seconds
@@ -44,17 +39,6 @@ SNAPSHOT_PATH = REPO_ROOT / "BENCH_obs.json"
 SWEEP_SCENARIOS = ("fig1", "fig2", "table1", "table2")
 
 
-#: shed-path submits per timing repeat for the live-telemetry overhead
-#: measurement (unknown scenario: no queueing, no execution, so the
-#: number isolates the submit path's own bookkeeping)
-_SHED_SUBMITS = 400
-
-#: enabled/disabled submit-cost ratio the gate tolerates — generous on
-#: purpose: this guards against accidental heavy work on the hot path
-#: (an exporter flush, an unbounded scan), not against counter costs
-_LIVE_OVERHEAD_RATIO_MAX = 5.0
-
-
 #: calls per timing repeat of the disabled-helper microbenchmark
 _NULL_CALLS = 100_000
 
@@ -73,41 +57,6 @@ def _disabled_ns_per_call() -> dict:
             stmt, globals={"obs": obs}, number=_NULL_CALLS, repeat=5
         )) / _NULL_CALLS * 1e9
         for key, stmt in _NULL_SITES.items()
-    }
-
-
-def _median_shed_submit_s(server, repeats: int = 5) -> float:
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        for _ in range(_SHED_SUBMITS):
-            server.submit("no-such-scenario")
-        times.append(time.perf_counter() - t0)
-    return sorted(times)[len(times) // 2]
-
-
-def _live_telemetry_overhead() -> dict:
-    from repro.config import LiveObsOptions
-    from repro.serve.server import ScenarioServer
-
-    base = ScenarioServer(workers=1, start=False, scenario_modules=())
-    live = ScenarioServer(
-        workers=1, start=False, scenario_modules=(),
-        live_obs=LiveObsOptions(enabled=True),
-    )
-    try:
-        _median_shed_submit_s(base, repeats=1)  # warm-up
-        disabled_s = _median_shed_submit_s(base)
-        enabled_s = _median_shed_submit_s(live)
-    finally:
-        base.shutdown()
-        live.shutdown()
-    ratio = enabled_s / disabled_s if disabled_s > 0 else 1.0
-    return {
-        "disabled_s": disabled_s,
-        "enabled_s": enabled_s,
-        "ratio": ratio,
-        "ok": ratio < _LIVE_OVERHEAD_RATIO_MAX,
     }
 
 
@@ -146,8 +95,6 @@ def test_obs_overhead_and_snapshot(tmp_path):
         "sweep.task_seconds"
     ).summary()
 
-    live = _live_telemetry_overhead()
-
     snapshot = {
         "bench": "obs_snapshot",
         "scenario": doc["scenario"],
@@ -159,15 +106,7 @@ def test_obs_overhead_and_snapshot(tmp_path):
             ),
             "full_report_s": report_wall_s,
             "sweep_task_seconds": task_seconds,
-            "live_submit_shed_disabled_s": live["disabled_s"],
-            "live_submit_shed_enabled_s": live["enabled_s"],
-            "live_overhead_ratio": live["ratio"],
             **null_ns,
-        },
-        "live_telemetry": {
-            # machine-independent gate leaf: 1.0 while the enabled
-            # submit path stays within the tolerated ratio of disabled
-            "overhead_ok": 1.0 if live["ok"] else 0.0,
         },
         "phases": doc["phases"],
         "timeline": doc["timeline"],
@@ -208,9 +147,3 @@ def test_obs_overhead_and_snapshot(tmp_path):
     # bound: the <5% disabled-overhead criterion is checked against the
     # Table 4 bench by the driver; this guards the enabled path).
     assert enabled_s < disabled_s * 2.0
-    # And the serving runtime's live plane must keep the submit path
-    # cheap — the gate leaf the benchdiff loop compares.
-    assert live["ok"], (
-        f"live telemetry submit overhead ratio {live['ratio']:.2f} "
-        f">= {_LIVE_OVERHEAD_RATIO_MAX}"
-    )

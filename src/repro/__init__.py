@@ -20,29 +20,27 @@ parallel :class:`SweepRunner` behind ``python -m repro sweep``.
 Batch sweeps answer one question and exit; the serving runtime
 (:mod:`repro.serve`, ``python -m repro serve``) keeps the same engine
 resident — bounded priority admission, request coalescing, batched
-dispatch and explicit load shedding behind :class:`ServerHandle`.
+dispatch and explicit load shedding behind :class:`ScenarioServer`.
 
 The stable public surface is the :mod:`repro.api` facade, snapshotted
 in ``tests/golden/api_surface.json``; its names are re-exported here:
 
->>> from repro import Pragma, MetaPartitioner, run_sweep, ServerHandle
+>>> from repro import Pragma, MetaPartitioner, run_sweep, ScenarioServer
 """
 
 from repro.api import (
     HealthStatus,
-    LiveObsOptions,
     MetaPartitioner,
     Pragma,
     PragmaRuntime,
     Scenario,
     ScenarioServer,
-    ServerHandle,
     SimulatorOptions,
     SweepRunner,
     run_sweep,
 )
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "__version__",
@@ -53,9 +51,7 @@ __all__ = [
     "SweepRunner",
     "run_sweep",
     "ScenarioServer",
-    "ServerHandle",
     "SimulatorOptions",
-    "LiveObsOptions",
     "HealthStatus",
     "amr",
     "sfc",

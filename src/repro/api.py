@@ -8,11 +8,10 @@ under one flat namespace with compatibility guarantees:
   partitioner selection),
 - **scenarios** — :class:`Scenario`, :class:`SweepRunner` and
   :func:`run_sweep` (the batch sweep engine),
-- **serving** — :class:`ServerHandle` / :class:`ScenarioServer` (the
-  long-running scenario-serving runtime, ``python -m repro serve``),
+- **serving** — :class:`ScenarioServer` (the long-running
+  scenario-serving runtime, ``python -m repro serve``),
 - **configuration** — :class:`SimulatorOptions` (the execution
-  simulator's tuning bundle) and :class:`LiveObsOptions` (the serving
-  runtime's live telemetry plane),
+  simulator's tuning bundle),
 - **observability** — :class:`HealthStatus` (the ``health`` verb's
   liveness/readiness document).
 
@@ -22,13 +21,13 @@ removals here are always explicit, reviewed changes.  Internal modules
 (``repro.execsim``, ``repro.agents``, ...) remain importable but carry
 no stability promise; prefer this facade::
 
-    from repro.api import Pragma, run_sweep, ServerHandle
+    from repro.api import Pragma, run_sweep, ScenarioServer
 """
 
-from repro.config import LiveObsOptions, SimulatorOptions
+from repro.config import SimulatorOptions
 from repro.core import MetaPartitioner, PragmaRuntime
 from repro.obs.live import HealthStatus
-from repro.serve import ScenarioServer, ServerHandle
+from repro.serve import ScenarioServer
 from repro.sweep import Scenario, SweepRunner, run_sweep
 
 #: the paper's name for the runtime — alias of :class:`PragmaRuntime`
@@ -42,8 +41,6 @@ __all__ = [
     "SweepRunner",
     "run_sweep",
     "ScenarioServer",
-    "ServerHandle",
     "SimulatorOptions",
-    "LiveObsOptions",
     "HealthStatus",
 ]

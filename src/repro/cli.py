@@ -333,16 +333,9 @@ def serve_main(args: argparse.Namespace) -> int:
     non-zero when any submitted job failed or timed out (shed requests
     are an explicit, successful refusal and do not fail the run).
     """
-    from repro.config import LiveObsOptions
     from repro.serve import ScenarioServer
     from repro.serve.jsonl import bounded_lines, run_requests, serve_socket
 
-    live_obs = LiveObsOptions(
-        enabled=not args.no_live_obs,
-        snapshot_path=args.snapshot,
-        snapshot_interval_s=args.snapshot_interval,
-        flight_dump_path=args.flight_dump,
-    )
     server = ScenarioServer(
         workers=args.workers,
         queue_capacity=args.queue_capacity,
@@ -350,7 +343,9 @@ def serve_main(args: argparse.Namespace) -> int:
         base_seed=args.seed,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
-        live_obs=live_obs,
+        snapshot_path=args.snapshot,
+        snapshot_interval_s=args.snapshot_interval,
+        flight_dump_path=args.flight_dump,
     )
     try:
         if args.socket is not None:
@@ -708,12 +703,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--flight-dump", default=None, metavar="PATH",
         help="dump the flight recorder (last serve events) to PATH as "
         "JSONL on shutdown",
-    )
-    p_serve.add_argument(
-        "--no-live-obs", action="store_true",
-        help="disable the live telemetry plane (flight recorder, SLO "
-        "tracker, snapshot exporter); stats/metrics/health verbs still "
-        "answer",
     )
     p_serve.set_defaults(func=serve_main)
 

@@ -167,18 +167,12 @@ def gauge(name: str, **labels: object) -> Gauge:
     return w.registry.gauge(name, **labels)
 
 
-def histogram(
-    name: str, window: int | None = None, **labels: object
-) -> Histogram:
-    """Histogram from the installed registry (no-op when disabled).
-
-    ``window`` selects the sliding-window mode when the instrument is
-    first created (see :class:`~repro.obs.metrics.Histogram`).
-    """
+def histogram(name: str, **labels: object) -> Histogram:
+    """Histogram from the installed registry (no-op when disabled)."""
     w = _window.get()
     if w is None:
         return _NULL_INSTRUMENT  # type: ignore[return-value]
-    return w.registry.histogram(name, window, **labels)
+    return w.registry.histogram(name, **labels)
 
 
 def span(name: str, **attrs: object):

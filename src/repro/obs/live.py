@@ -14,10 +14,11 @@ frameworks make continuous online monitoring a first-class subsystem:
   metrics snapshot per interval (atomic single-write appends, a
   monotonic ``serve.uptime_seconds`` gauge refreshed each tick);
 - :class:`SloTracker` — sliding-window service-level objectives per
-  priority lane (request latency and shed rate against configurable
-  targets) with classic multi-window burn-rate alerting, surfaced as
+  priority lane (request latency and shed rate against fixed targets)
+  with classic multi-window burn-rate alerting, surfaced as
   :class:`~repro.obs.anomaly.Alert` records so the existing alert path
-  (``obs.alerts``) carries them;
+  (``obs.alerts``) carries them; its latency ring also gives the
+  dashboard's per-lane quantiles;
 - :class:`FlightRecorder` — a lock-cheap bounded ring of the last N
   serve events (admit/shed/dedup/dispatch/retry/commit/cancel), dumped
   to JSONL on shutdown, on crash, or on demand — enough for a
@@ -27,9 +28,9 @@ frameworks make continuous online monitoring a first-class subsystem:
 - :func:`render_dashboard` — the terminal frame ``python -m repro top``
   refreshes from a running server's ``stats-stream``.
 
-The default costs nothing: a server constructed without
-``LiveObsOptions(enabled=True)`` gets no flight recorder, no SLO tracker
-and no exporter thread.
+Every :class:`~repro.serve.server.ScenarioServer` runs the flight
+recorder and the SLO tracker; the snapshot exporter thread starts only
+when the server is given a ``snapshot_path``.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro.obs.anomaly import Alert
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, nearest_rank
 from repro.util.fileio import write_file
 
 __all__ = [
@@ -258,25 +259,43 @@ class SnapshotExporter:
 
 # -- sliding-window SLO tracking -----------------------------------------------
 
+#: latency objective: at most :data:`LATENCY_BUDGET` of requests may take
+#: longer than :data:`LATENCY_TARGET_S` seconds
+LATENCY_TARGET_S = 60.0
+LATENCY_BUDGET = 0.05
+#: shed objective: at most this fraction of admissions may be shed for
+#: load (queue-full / shutting-down)
+SHED_BUDGET = 0.05
+#: event-count windows for burn-rate alerting: the short window (fast
+#: signal) is the newest :data:`SHORT_WINDOW` entries of each lane's
+#: :data:`LONG_WINDOW`-entry ring (sustained signal)
+SHORT_WINDOW = 32
+LONG_WINDOW = 256
+#: burn rate (error rate / budget) at which both windows must be to alert
+BURN_THRESHOLD = 2.0
+
 
 class _LaneWindow:
-    """Sliding event-count windows of one lane's outcomes."""
+    """One lane's rings: the newest latencies (seconds) and admission
+    outcomes (``True`` = shed), plus lifetime totals."""
 
-    __slots__ = ("latency_short", "latency_long", "shed_short", "shed_long",
-                 "requests", "violations", "sheds")
+    __slots__ = ("latency", "shed", "requests", "violations", "sheds")
 
-    def __init__(self, short: int, long: int) -> None:
-        self.latency_short: deque[bool] = deque(maxlen=short)
-        self.latency_long: deque[bool] = deque(maxlen=long)
-        self.shed_short: deque[bool] = deque(maxlen=short)
-        self.shed_long: deque[bool] = deque(maxlen=long)
+    def __init__(self) -> None:
+        self.latency: deque[float] = deque(maxlen=LONG_WINDOW)
+        self.shed: deque[bool] = deque(maxlen=LONG_WINDOW)
         self.requests = 0
         self.violations = 0
         self.sheds = 0
 
 
-def _rate(window: deque) -> float:
-    return (sum(window) / len(window)) if window else 0.0
+def _burns(errors: list[bool], budget: float) -> tuple[float, float]:
+    """Short- and long-window burn rates of one ring's error flags."""
+    if not errors:
+        return 0.0, 0.0
+    short = errors[-SHORT_WINDOW:]
+    return (sum(short) / len(short) / budget,
+            sum(errors) / len(errors) / budget)
 
 
 class SloTracker:
@@ -284,18 +303,21 @@ class SloTracker:
 
     Two objectives per lane, both expressed as error budgets:
 
-    - **latency** — at most ``latency_budget`` of requests may exceed
-      ``latency_target_s`` (e.g. 5% over 60 s ≈ "p95 under 60 s");
-    - **shedding** — at most ``shed_budget`` of admission decisions may
-      shed for load (``queue-full`` / ``shutting-down``; unknown-scenario
-      refusals are client errors, not load, and are not recorded).
+    - **latency** — at most :data:`LATENCY_BUDGET` of requests may exceed
+      :data:`LATENCY_TARGET_S` (5% over 60 s ≈ "p95 under 60 s");
+    - **shedding** — at most :data:`SHED_BUDGET` of admission decisions
+      may shed for load (``queue-full`` / ``shutting-down``;
+      unknown-scenario refusals are client errors, not load, and are
+      not recorded).
 
     Burn rate is the observed error rate divided by the budget; following
     the multi-window pattern, a lane alerts only when *both* the short
     window (fast signal) and the long window (sustained signal) burn
-    beyond ``burn_threshold`` — a brief spike that the long window has
-    already absorbed stays quiet.  Windows are event-counted rings
-    (deterministic under test, no clock dependence).
+    beyond :data:`BURN_THRESHOLD` — a brief spike that the long window
+    has already absorbed stays quiet.  Windows are event-counted rings
+    (deterministic under test, no clock dependence).  The latency ring
+    holds the request latencies themselves, so it also answers the
+    dashboard's per-lane quantiles (:meth:`latency`).
 
     :meth:`alerts` maps firing burns onto the existing
     :class:`~repro.obs.anomaly.Alert` record: ``series`` is
@@ -304,80 +326,63 @@ class SloTracker:
     ``zscore`` the short burn in units of the threshold.
     """
 
-    def __init__(
-        self,
-        *,
-        latency_target_s: float = 60.0,
-        latency_budget: float = 0.05,
-        shed_budget: float = 0.05,
-        short_window: int = 32,
-        long_window: int = 256,
-        burn_threshold: float = 2.0,
-        lanes: tuple[str, ...] = ("high", "normal", "low"),
-    ) -> None:
-        if latency_target_s <= 0:
-            raise ValueError(
-                f"latency_target_s must be > 0, got {latency_target_s}"
-            )
-        for nm, budget in (("latency_budget", latency_budget),
-                           ("shed_budget", shed_budget)):
-            if not 0.0 < budget < 1.0:
-                raise ValueError(f"{nm} must be in (0, 1), got {budget}")
-        if short_window < 1 or long_window < short_window:
-            raise ValueError(
-                f"need 1 <= short_window <= long_window; got "
-                f"{short_window}, {long_window}"
-            )
-        if burn_threshold <= 0:
-            raise ValueError(
-                f"burn_threshold must be > 0, got {burn_threshold}"
-            )
-        self.latency_target_s = latency_target_s
-        self.latency_budget = latency_budget
-        self.shed_budget = shed_budget
-        self.short_window = short_window
-        self.long_window = long_window
-        self.burn_threshold = burn_threshold
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._lanes: dict[str, _LaneWindow] = {
-            lane: _LaneWindow(short_window, long_window) for lane in lanes
+            lane: _LaneWindow() for lane in ("high", "normal", "low")
         }
 
     def _lane(self, lane: str) -> _LaneWindow:
         win = self._lanes.get(lane)
         if win is None:
             with self._lock:
-                win = self._lanes.setdefault(
-                    lane, _LaneWindow(self.short_window, self.long_window)
-                )
+                win = self._lanes.setdefault(lane, _LaneWindow())
         return win
 
     def record_latency(self, lane: str, seconds: float) -> None:
         """Record one served request's end-to-end latency."""
         win = self._lane(lane)
-        bad = seconds > self.latency_target_s
         with self._lock:
-            win.latency_short.append(bad)
-            win.latency_long.append(bad)
+            win.latency.append(seconds)
             win.requests += 1
-            if bad:
+            if seconds > LATENCY_TARGET_S:
                 win.violations += 1
 
     def record_admission(self, lane: str, *, shed: bool) -> None:
         """Record one admission decision (``shed`` = refused for load)."""
         win = self._lane(lane)
         with self._lock:
-            win.shed_short.append(shed)
-            win.shed_long.append(shed)
+            win.shed.append(shed)
             if shed:
                 win.sheds += 1
 
-    def _burns(self, win: _LaneWindow) -> dict[str, float]:
+    @staticmethod
+    def _lane_burns(win: _LaneWindow) -> dict[str, float]:
+        lat_short, lat_long = _burns(
+            [s > LATENCY_TARGET_S for s in win.latency], LATENCY_BUDGET
+        )
+        shed_short, shed_long = _burns(list(win.shed), SHED_BUDGET)
         return {
-            "latency_burn_short": _rate(win.latency_short) / self.latency_budget,
-            "latency_burn_long": _rate(win.latency_long) / self.latency_budget,
-            "shed_burn_short": _rate(win.shed_short) / self.shed_budget,
-            "shed_burn_long": _rate(win.shed_long) / self.shed_budget,
+            "latency_burn_short": lat_short,
+            "latency_burn_long": lat_long,
+            "shed_burn_short": shed_short,
+            "shed_burn_long": shed_long,
+        }
+
+    def latency(self) -> dict[str, dict[str, float]]:
+        """Per-lane ``count`` and nearest-rank ``p50``/``p95``/``p99``
+        of the latency ring (the last :data:`LONG_WINDOW` requests)."""
+        with self._lock:
+            rings = {lane: sorted(win.latency)
+                     for lane, win in sorted(self._lanes.items())}
+        return {
+            lane: {
+                "count": len(ring),
+                "p50": nearest_rank(ring, 0.50),
+                "p95": nearest_rank(ring, 0.95),
+                "p99": nearest_rank(ring, 0.99),
+            }
+            for lane, ring in rings.items()
         }
 
     def summary(self) -> dict[str, Any]:
@@ -385,29 +390,29 @@ class SloTracker:
         with self._lock:
             lanes: dict[str, Any] = {}
             for lane, win in sorted(self._lanes.items()):
-                burns = self._burns(win)
+                burns = self._lane_burns(win)
                 lanes[lane] = {
                     "requests": win.requests,
                     "violations": win.violations,
                     "sheds": win.sheds,
                     **burns,
                     "latency_alerting": (
-                        burns["latency_burn_short"] >= self.burn_threshold
-                        and burns["latency_burn_long"] >= self.burn_threshold
+                        burns["latency_burn_short"] >= BURN_THRESHOLD
+                        and burns["latency_burn_long"] >= BURN_THRESHOLD
                     ),
                     "shed_alerting": (
-                        burns["shed_burn_short"] >= self.burn_threshold
-                        and burns["shed_burn_long"] >= self.burn_threshold
+                        burns["shed_burn_short"] >= BURN_THRESHOLD
+                        and burns["shed_burn_long"] >= BURN_THRESHOLD
                     ),
                 }
         return {
             "objectives": {
-                "latency_target_s": self.latency_target_s,
-                "latency_budget": self.latency_budget,
-                "shed_budget": self.shed_budget,
-                "short_window": self.short_window,
-                "long_window": self.long_window,
-                "burn_threshold": self.burn_threshold,
+                "latency_target_s": LATENCY_TARGET_S,
+                "latency_budget": LATENCY_BUDGET,
+                "shed_budget": SHED_BUDGET,
+                "short_window": SHORT_WINDOW,
+                "long_window": LONG_WINDOW,
+                "burn_threshold": BURN_THRESHOLD,
             },
             "lanes": lanes,
         }
@@ -417,18 +422,17 @@ class SloTracker:
         out: list[Alert] = []
         with self._lock:
             for lane, win in sorted(self._lanes.items()):
-                burns = self._burns(win)
-                for kind, budget in (("latency", self.latency_budget),
-                                     ("shed", self.shed_budget)):
+                burns = self._lane_burns(win)
+                for kind, budget in (("latency", LATENCY_BUDGET),
+                                     ("shed", SHED_BUDGET)):
                     short = burns[f"{kind}_burn_short"]
                     long_ = burns[f"{kind}_burn_long"]
-                    if (short >= self.burn_threshold
-                            and long_ >= self.burn_threshold):
+                    if short >= BURN_THRESHOLD and long_ >= BURN_THRESHOLD:
                         out.append(Alert(
                             series=f"slo.{lane}.{kind}",
                             index=win.requests,
                             value=short,
-                            zscore=short / self.burn_threshold,
+                            zscore=short / BURN_THRESHOLD,
                             mean=long_,
                             std=budget,
                         ))
@@ -436,6 +440,9 @@ class SloTracker:
 
 
 # -- flight recorder -----------------------------------------------------------
+
+#: ring capacity of the flight recorder (last N serve events)
+FLIGHT_CAPACITY = 256
 
 
 class FlightRecorder:
@@ -449,7 +456,7 @@ class FlightRecorder:
 
     def __init__(
         self,
-        capacity: int = 256,
+        capacity: int = FLIGHT_CAPACITY,
         *,
         wall_clock: Callable[[], float] | None = None,
     ) -> None:

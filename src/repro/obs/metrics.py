@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_left
-from collections import deque
 from collections.abc import Sequence
 
 __all__ = [
@@ -38,8 +37,8 @@ def nearest_rank(ordered: Sequence[float], q: float) -> float:
 
     The smallest sample that covers a ``q`` fraction of the samples: the
     ``ceil(q * n)``-th, counting from one.  The one rank rule for exact
-    quantiles (timeline summaries, windowed histograms); a cumulative
-    histogram's bucketed quantile never falls below it.
+    quantiles (timeline summaries, the serving SLO tracker's latency
+    ring); a histogram's bucketed quantile never falls below it.
     """
     if not ordered:
         return 0.0
@@ -145,28 +144,17 @@ class Histogram:
     ``summary()`` carries p50/p95/p99 alongside the moments.  Bucketed
     quantiles are upper-bound estimates — exact to within one bucket
     (a factor-of-two band), clamped into ``[min, max]``.
-
-    With ``window=N`` the histogram additionally keeps a ring of the
-    last ``N`` observations, and ``quantile``/``summary`` answer from
-    that ring (exact quantiles over *recent* traffic, what a live
-    dashboard wants) instead of the process-lifetime buckets.  The
-    cumulative ``count``/``total``/``buckets`` are still maintained —
-    they stay monotonic for the Prometheus exposition — and the default
-    ``window=None`` cumulative behaviour is unchanged.
     """
 
     __slots__ = ("name", "labels", "count", "total", "min", "max",
-                 "bounds", "buckets", "window", "_recent", "_lock")
+                 "bounds", "buckets", "_lock")
 
     def __init__(
         self,
         name: str,
         labels: _LabelKey = (),
         bounds: tuple[float, ...] = DEFAULT_BUCKET_BOUNDS,
-        window: int | None = None,
     ) -> None:
-        if window is not None and window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
         self.name = name
         self.labels = labels
         self.count = 0
@@ -176,10 +164,6 @@ class Histogram:
         self.bounds = bounds
         # one count per bound plus one overflow bucket
         self.buckets = [0] * (len(bounds) + 1)
-        self.window = window
-        self._recent: deque[float] | None = (
-            deque(maxlen=window) if window is not None else None
-        )
         self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
@@ -193,30 +177,20 @@ class Histogram:
             if v > self.max:
                 self.max = v
             self.buckets[bisect_left(self.bounds, v)] += 1
-            if self._recent is not None:
-                self._recent.append(v)
 
     @property
     def mean(self) -> float:
         """Arithmetic mean of the samples seen so far (0.0 when empty)."""
         return self.total / self.count if self.count else 0.0
 
-    def recent(self) -> list[float]:
-        """The sliding window's samples, oldest first (empty when
-        cumulative)."""
-        return list(self._recent) if self._recent is not None else []
-
     def quantile(self, q: float) -> float:
         """Quantile estimate (0.0 when empty).
 
-        Cumulative mode returns the upper bound of the bucket holding
-        the ``q``-th sample, clamped into ``[min, max]``; window mode
-        returns the exact nearest-rank quantile of the recent samples.
+        The upper bound of the bucket holding the ``q``-th sample,
+        clamped into ``[min, max]``.
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if self._recent is not None:
-            return nearest_rank(sorted(self._recent), q)
         if not self.count:
             return 0.0
         target = q * self.count
@@ -231,31 +205,7 @@ class Histogram:
         return self.max
 
     def summary(self) -> dict[str, float]:
-        """count/sum/min/max/mean/p50/p95/p99 as a plain dict (empty-safe).
-
-        In window mode the statistics describe the recent ring (plus
-        ``lifetime_count``/``lifetime_sum`` for the cumulative totals);
-        cumulative mode is unchanged.
-        """
-        if self._recent is not None:
-            samples = sorted(self._recent)
-            if not samples:
-                return {"count": 0, "sum": 0.0, "min": 0.0, "max": 0.0,
-                        "mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0,
-                        "lifetime_count": self.count,
-                        "lifetime_sum": self.total}
-            return {
-                "count": len(samples),
-                "sum": math.fsum(samples),
-                "min": samples[0],
-                "max": samples[-1],
-                "mean": math.fsum(samples) / len(samples),
-                "p50": nearest_rank(samples, 0.50),
-                "p95": nearest_rank(samples, 0.95),
-                "p99": nearest_rank(samples, 0.99),
-                "lifetime_count": self.count,
-                "lifetime_sum": self.total,
-            }
+        """count/sum/min/max/mean/p50/p95/p99 as a plain dict (empty-safe)."""
         if not self.count:
             return {"count": 0, "sum": 0.0, "min": 0.0, "max": 0.0,
                     "mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0}
@@ -277,9 +227,10 @@ class MetricsRegistry:
     Instruments are created on first use and cached by
     ``(name, sorted labels)``; repeated lookups return the same object, so
     call sites may either hold a handle or re-look-up each time.
-    Thread-safe for instrument creation (updates on the instruments
-    themselves are plain float arithmetic, adequate for the in-process
-    simulators here).
+    Thread-safe: creation takes the registry's lock, and every
+    read-modify-write update (``inc``, ``set_max``, ``observe``) takes
+    its instrument's own lock, so concurrent serve workers lose no
+    increment or observation.
     """
 
     def __init__(self) -> None:
@@ -304,23 +255,9 @@ class MetricsRegistry:
         """The gauge registered under ``name`` + ``labels``."""
         return self._get(self._gauges, Gauge, name, labels)
 
-    def histogram(
-        self, name: str, window: int | None = None, **labels: object
-    ) -> Histogram:
-        """The histogram registered under ``name`` + ``labels``.
-
-        ``window`` (keyword-only in spirit — it cannot be a label name)
-        selects the sliding-window mode *at creation*; repeated lookups
-        return the existing instrument regardless of the value passed.
-        """
-        key = (name, _label_key(labels))
-        inst = self._histograms.get(key)
-        if inst is None:
-            with self._lock:
-                inst = self._histograms.setdefault(
-                    key, Histogram(name, key[1], window=window)
-                )
-        return inst
+    def histogram(self, name: str, **labels: object) -> Histogram:
+        """The histogram registered under ``name`` + ``labels``."""
+        return self._get(self._histograms, Histogram, name, labels)
 
     # -- introspection ---------------------------------------------------------
 
@@ -378,7 +315,6 @@ class _NullInstrument:
     total = 0.0
     min = math.inf
     max = -math.inf
-    window = None
 
     def inc(self, amount: float = 1.0) -> None:
         pass
@@ -402,9 +338,6 @@ class _NullInstrument:
 
     def quantile(self, q: float) -> float:
         return 0.0
-
-    def recent(self) -> list[float]:
-        return []
 
     def summary(self) -> dict[str, float]:
         return {"count": 0, "sum": 0.0, "min": 0.0, "max": 0.0, "mean": 0.0,

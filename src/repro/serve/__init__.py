@@ -14,8 +14,8 @@ visibly rather than degrade silently:
   outcome exactly once,
 - :mod:`~repro.serve.server` — :class:`ScenarioServer` (content-address
   request coalescing on the sweep cache key, result-cache reuse,
-  streaming progress through the ``obs`` timeline) and the stable
-  client facades :class:`ServerHandle` / :class:`JobHandle`,
+  streaming progress through the ``obs`` timeline) and the client's
+  per-request :class:`JobHandle`,
 - :mod:`~repro.serve.protocol` / :mod:`~repro.serve.jsonl` — the JSONL
   wire protocol and its two transports (request streams for
   ``python -m repro serve``, and a local socket).
@@ -30,7 +30,7 @@ from repro.serve.queue import (
     ShedError,
 )
 from repro.serve.scheduler import Scheduler, WorkerDeath
-from repro.serve.server import JobHandle, ScenarioServer, ServerHandle
+from repro.serve.server import JobHandle, ScenarioServer
 
 __all__ = [
     "PRIORITIES",
@@ -44,5 +44,4 @@ __all__ = [
     "WorkerDeath",
     "JobHandle",
     "ScenarioServer",
-    "ServerHandle",
 ]

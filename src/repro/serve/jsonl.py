@@ -12,9 +12,11 @@ Two ways to feed a :class:`~repro.serve.server.ScenarioServer`:
   ``result`` waits for a terminal job, and ``shutdown`` stops the
   listener.  One connection per client, many clients at once.
 
-Both read their input through :func:`bounded_lines`: a line longer than
+Both read their input through :func:`bounded_lines` and answer each
+line through one handler (:func:`_respond_line`): a line longer than
 :data:`MAX_LINE_BYTES` is answered with one ``error`` and skipped, and
-reading goes on (the connection stays open).
+reading goes on (the connection stays open); blank lines and ``#``
+comments are skipped; a malformed line gets one ``error``.
 
 Both share :class:`Session`, which maps client request ids to
 :class:`~repro.serve.server.JobHandle`\\ s.
@@ -167,6 +169,29 @@ class Session:
             yield tick
 
 
+def _respond_line(
+    session: Session, line: str | None
+) -> Iterator[dict[str, Any]]:
+    """The response documents for one request line of either transport.
+
+    ``None`` (an over-long line, as :func:`bounded_lines` reports it)
+    and a malformed line yield one ``error``; a blank line or a ``#``
+    comment yields nothing; anything else is dispatched through
+    :meth:`Session.dispatch_iter`.
+    """
+    if line is None:
+        yield {"op": "error", "error": _OVERLONG}
+        return
+    if not line.strip() or line.lstrip().startswith("#"):
+        return
+    try:
+        req = parse_request(line)
+    except ProtocolError as exc:
+        yield {"op": "error", "error": str(exc)}
+        return
+    yield from session.dispatch_iter(req)
+
+
 def run_requests(
     server: ScenarioServer,
     lines: Iterable[str | None],
@@ -178,25 +203,14 @@ def run_requests(
 
     Emits one response line per request as it is processed, then (after
     the server drains) one ``result`` line per submit in request order
-    and a final ``stats`` line.  Blank lines and ``#`` comments are
-    skipped; malformed lines produce ``error`` responses without killing
-    the stream, and so does a ``None`` line — an over-long line, as
-    :func:`bounded_lines` (the reader of every byte stream) reports it.
-    Returns a summary with per-status job counts.
+    and a final ``stats`` line.  Each line is answered by
+    :func:`_respond_line`, so malformed and over-long lines produce
+    ``error`` responses without killing the stream.  Returns a summary
+    with per-status job counts.
     """
     session = Session(server)
     for line in lines:
-        if line is None:
-            print(encode({"op": "error", "error": _OVERLONG}), file=out)
-            continue
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        try:
-            req = parse_request(line)
-        except ProtocolError as exc:
-            print(encode({"op": "error", "error": str(exc)}), file=out)
-            continue
-        for resp in session.dispatch_iter(req):
+        for resp in _respond_line(session, line):
             print(encode(resp), file=out, flush=True)
         if session.shutdown_requested:
             break
@@ -229,17 +243,7 @@ class _SocketHandler(socketserver.StreamRequestHandler):
     def handle(self) -> None:  # pragma: no cover - exercised via socket test
         session = Session(self.server.scenario_server)  # type: ignore[attr-defined]
         for line in bounded_lines(self.rfile):
-            if line is None:
-                self._send({"op": "error", "error": _OVERLONG})
-                continue
-            if not line.strip():
-                continue
-            try:
-                req = parse_request(line)
-            except ProtocolError as exc:
-                self._send({"op": "error", "error": str(exc)})
-                continue
-            for resp in session.dispatch_iter(req):
+            for resp in _respond_line(session, line):
                 self._send(resp)
             if session.shutdown_requested:
                 self.server.shutdown_event.set()  # type: ignore[attr-defined]

@@ -158,12 +158,6 @@ class JobQueue:
         with self._lock:
             return sum(len(lane) for lane in self._lanes.values())
 
-    @property
-    def closed(self) -> bool:
-        """True after :meth:`close`; offers shed, takes drain then stop."""
-        with self._lock:
-            return self._closed
-
     def offer(self, job: Job) -> str | None:
         """Admit ``job`` or return the shed reason (``None`` = admitted).
 

@@ -18,16 +18,18 @@ Clients hold a :class:`JobHandle`: ``result()`` blocks for the outcome
 :class:`~repro.serve.queue.JobCancelled` /
 :class:`~repro.serve.queue.JobFailed` as appropriate), ``cancel()``
 withdraws a pending request, ``record()`` snapshots the job document.
-:class:`ServerHandle` is the stable public facade over a server —
-``submit`` / ``cancel`` / ``drain`` / ``stats`` / ``shutdown`` — the
-surface exported through :mod:`repro.api`.
+The server itself is the surface exported through :mod:`repro.api`:
+``submit`` / ``submit_many`` / ``drain`` / ``stats`` / ``health`` /
+``shutdown``, and a context manager that shuts down on exit.
 
 Progress is streamed two ways: per-job event logs and push listeners
 (the JSONL transports in :mod:`repro.serve.jsonl` subscribe one to
 stream events to clients).  Every event also lands in the server's
-flight recorder; counters (``serve.submitted`` / ``serve.shed{reason}``
-/ ``serve.dedup_hits`` / ...) and latency histograms go to the server's
-own registry, :attr:`ScenarioServer.metrics`, and nowhere else.
+flight recorder, and every admission and served latency in its SLO
+tracker (:mod:`repro.obs.live`).  Counters (``serve.submitted`` /
+``serve.shed{reason}`` / ``serve.dedup_hits`` / ...) and latency
+histograms go to the server's own registry,
+:attr:`ScenarioServer.metrics`, and nowhere else.
 """
 
 from __future__ import annotations
@@ -38,8 +40,12 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from repro.agents.message_center import DeliveryPolicy
-from repro.config import LiveObsOptions
-from repro.obs.live import FlightRecorder, HealthStatus, SnapshotExporter
+from repro.obs.live import (
+    FlightRecorder,
+    HealthStatus,
+    SloTracker,
+    SnapshotExporter,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.partitioners import deterministic_partition_time
 from repro.serve.protocol import PRIORITIES
@@ -67,7 +73,7 @@ from repro.sweep.scenario import (
     jsonify,
 )
 
-__all__ = ["JobHandle", "ScenarioServer", "ServerHandle"]
+__all__ = ["JobHandle", "ScenarioServer"]
 
 
 class _MemoryCache:
@@ -203,6 +209,13 @@ class ScenarioServer:
     ``start=False`` the pool stays parked until :meth:`start` — the
     deterministic mode tests and benchmarks use to fill the queue before
     any draining happens.
+
+    The live telemetry plane is always on: a flight recorder of the
+    last serve events and an SLO tracker per priority lane.  Its
+    deployment settings are paths: ``snapshot_path`` starts a
+    :class:`~repro.obs.live.SnapshotExporter` appending one JSONL
+    metrics snapshot every ``snapshot_interval_s`` seconds, and
+    ``flight_dump_path`` is where the flight recorder dumps on shutdown.
     """
 
     def __init__(
@@ -220,7 +233,9 @@ class ScenarioServer:
         default_timeout_s: float | None = None,
         scenario_modules: Sequence[str] = DEFAULT_SCENARIO_MODULES,
         death_injector: Callable[[Job, int], str | None] | None = None,
-        live_obs: LiveObsOptions | None = None,
+        snapshot_path: str | None = None,
+        snapshot_interval_s: float = 5.0,
+        flight_dump_path: str | None = None,
         clock: Callable[[], float] | None = None,
         sleeper: Callable[[float], None] | None = None,
         start: bool = True,
@@ -252,19 +267,12 @@ class ScenarioServer:
         #: ``serve.*`` metrics and the source behind :meth:`stats`, the
         #: ``metrics`` exposition endpoint and the live dashboard
         self.metrics = MetricsRegistry()
-        self.live_obs = live_obs if live_obs is not None else LiveObsOptions()
-        self._flight: FlightRecorder | None = self.live_obs.build_flight_recorder(
-            wall_clock=self.clock if clock is not None else None
-        )
-        self._slo = (
-            self.live_obs.build_slo_tracker()
-            if self.live_obs.enabled else None
-        )
-        #: sliding window for dashboard latency quantiles (recent
-        #: traffic); ``None`` = cumulative when live obs is off
-        self._latency_window = (
-            self.live_obs.slo_long_window if self.live_obs.enabled else None
-        )
+        #: dump headers and snapshot timestamps read the injected clock
+        #: too, so a simulated run's telemetry carries virtual time
+        wall_clock = self.clock if clock is not None else None
+        self.flight_dump_path = flight_dump_path
+        self._flight = FlightRecorder(wall_clock=wall_clock)
+        self._slo = SloTracker()
         self.queue = JobQueue(queue_capacity)
         self.scheduler = Scheduler(
             self.queue,
@@ -289,14 +297,14 @@ class ScenarioServer:
         self._epoch = self.clock()
         self._last_commit_t: float | None = None
         self._exporter: SnapshotExporter | None = None
-        if self.live_obs.enabled and self.live_obs.snapshot_path is not None:
+        if snapshot_path is not None:
             self._exporter = SnapshotExporter(
                 self.metrics,
-                self.live_obs.snapshot_path,
-                interval_s=self.live_obs.snapshot_interval_s,
+                snapshot_path,
+                interval_s=snapshot_interval_s,
                 extra=lambda: {"stats": self.stats()},
                 clock=self.clock,
-                wall_clock=self.clock if clock is not None else None,
+                wall_clock=wall_clock,
             )
             self._exporter.start()
         if start:
@@ -352,14 +360,12 @@ class ScenarioServer:
     def _notify(self, job: Job, kind: str, t: float, attrs: dict) -> None:
         # every job event funnels through here — both the server's own
         # _emit and the scheduler's _event — so this is the one flight
-        # recorder tap point
-        if self._flight is not None:
-            # event attrs win over the job-derived fields (e.g. the
-            # "queued" event already carries priority)
-            self._flight.record(kind, t, **{
-                "job": f"job-{job.seq}", "scenario": job.name,
-                "priority": job.priority, **attrs,
-            })
+        # recorder tap point; event attrs win over the job-derived
+        # fields (e.g. the "queued" event already carries priority)
+        self._flight.record(kind, t, **{
+            "job": f"job-{job.seq}", "scenario": job.name,
+            "priority": job.priority, **attrs,
+        })
         for listener in list(self._listeners):
             try:
                 listener(job, kind, t, attrs)
@@ -394,12 +400,11 @@ class ScenarioServer:
         job.committed = True
         job.done.set()
         self.metrics.counter("serve.shed", reason=reason).inc()
-        if self._slo is not None:
-            # unknown-scenario refusals are client errors, not load
-            self._slo.record_admission(
-                job.priority,
-                shed=reason in (SHED_QUEUE_FULL, SHED_SHUTTING_DOWN),
-            )
+        # unknown-scenario refusals are client errors, not load
+        self._slo.record_admission(
+            job.priority,
+            shed=reason in (SHED_QUEUE_FULL, SHED_SHUTTING_DOWN),
+        )
         self._emit(job, "shed", reason=reason)
         return JobHandle(job, self)
 
@@ -461,11 +466,10 @@ class ScenarioServer:
                 job.finished_t = self.clock()
                 job.done.set()
                 self.metrics.counter("serve.cache_hits").inc()
-                if self._slo is not None:
-                    self._slo.record_admission(priority, shed=False)
-                    self._slo.record_latency(
-                        priority, job.finished_t - job.submitted_t
-                    )
+                self._slo.record_admission(priority, shed=False)
+                self._slo.record_latency(
+                    priority, job.finished_t - job.submitted_t
+                )
                 self._emit(job, "cache-hit")
                 return JobHandle(job, self)
 
@@ -487,15 +491,13 @@ class ScenarioServer:
                     self._inflight[key] = job
         if twin is not None:
             self.metrics.counter("serve.dedup_hits").inc()
-            if self._slo is not None:
-                self._slo.record_admission(priority, shed=False)
+            self._slo.record_admission(priority, shed=False)
             self._emit(twin, "dedup-attach", subscribers=twin.subscribers)
             return JobHandle(twin, self)
         if reason is not None:
             return self._shed_job(job, reason)
         self.metrics.counter("serve.admitted", priority=priority).inc()
-        if self._slo is not None:
-            self._slo.record_admission(priority, shed=False)
+        self._slo.record_admission(priority, shed=False)
         self._emit(job, "queued", priority=priority)
         return JobHandle(job, self)
 
@@ -611,11 +613,9 @@ class ScenarioServer:
         if job.status == "done" and job.finished_t is not None:
             latency = job.finished_t - job.submitted_t
             self.metrics.histogram(
-                "serve.request_latency_seconds", self._latency_window,
-                priority=job.priority,
+                "serve.request_latency_seconds", priority=job.priority,
             ).observe(latency)
-            if self._slo is not None:
-                self._slo.record_latency(job.priority, latency)
+            self._slo.record_latency(job.priority, latency)
         with self._idle:
             self._pop_inflight(job)
             if not self._inflight:
@@ -745,93 +745,30 @@ class ScenarioServer:
         """One ``stats-stream`` tick: everything the dashboard renders.
 
         Bundles :meth:`stats`, :meth:`health`, per-lane latency
-        summaries, the SLO document (when live obs is enabled) and the
+        quantiles over the SLO tracker's ring (the last requests served
+        in each lane, cache hits included), the SLO document and the
         flight recorder's last ``flight_tail`` events.
         """
-        latency: dict[str, Any] = {}
-        for (name, labels), hist in sorted(
-            self.metrics._histograms.items()
-        ):
-            if name != "serve.request_latency_seconds":
-                continue
-            lane = dict(labels).get("priority", "?")
-            latency[lane] = hist.summary()
-        doc: dict[str, Any] = {
+        return {
             "op": "stats-tick",
             "uptime_seconds": self.uptime_seconds,
             "stats": self.stats(),
             "health": self.health().to_dict(),
-            "latency": latency,
-            "slo": self._slo.summary() if self._slo is not None else None,
-            "flight_tail": (
-                self._flight.tail(flight_tail)
-                if self._flight is not None else []
-            ),
+            "latency": self._slo.latency(),
+            "slo": self._slo.summary(),
+            "flight_tail": self._flight.tail(flight_tail),
         }
-        return doc
 
     def slo_alerts(self) -> list[Any]:
-        """Currently firing SLO burn-rate alerts (empty when disabled)."""
-        return self._slo.alerts() if self._slo is not None else []
+        """Currently firing SLO burn-rate alerts."""
+        return self._slo.alerts()
 
     def dump_flight(self, path: str | Path | None = None) -> int:
         """Dump the flight recorder to ``path`` (default: the configured
         ``flight_dump_path``); returns the number of events written,
-        0 when there is nowhere to write or nothing recorded."""
-        target = path if path is not None else self.live_obs.flight_dump_path
-        if target is None or self._flight is None:
+        0 when there is nowhere to write."""
+        target = path if path is not None else self.flight_dump_path
+        if target is None:
             return 0
         return self._flight.dump(target)
 
-
-class ServerHandle:
-    """The stable client facade over a :class:`ScenarioServer`.
-
-    This is the surface :mod:`repro.api` exports: construct one (it owns
-    a private server built from the given knobs, or wraps an existing
-    ``server=``), ``submit`` requests, ``drain``, read ``stats``, and
-    ``close`` — usable as a context manager::
-
-        with ServerHandle(workers=4) as pragma:
-            handle = pragma.submit("table2", priority="high")
-            print(handle.result(timeout=60))
-    """
-
-    def __init__(self, server: ScenarioServer | None = None, **kwargs: Any) -> None:
-        self._server = server if server is not None else ScenarioServer(**kwargs)
-
-    @property
-    def server(self) -> ScenarioServer:
-        """The underlying server (advanced access)."""
-        return self._server
-
-    def submit(self, name: str, params: dict[str, Any] | None = None,
-               **kwargs: Any) -> JobHandle:
-        """Submit one scenario request (see :meth:`ScenarioServer.submit`)."""
-        return self._server.submit(name, params, **kwargs)
-
-    def submit_many(self, requests: Sequence[dict[str, Any]]) -> list[JobHandle]:
-        """Submit a batch of request documents; handles in order."""
-        return self._server.submit_many(requests)
-
-    def drain(self, timeout: float | None = None) -> bool:
-        """Block until the server is idle; True when it drained in time."""
-        return self._server.drain(timeout)
-
-    def stats(self) -> dict[str, Any]:
-        """Server counter/queue snapshot."""
-        return self._server.stats()
-
-    def health(self) -> dict[str, Any]:
-        """Liveness/readiness document (see :meth:`ScenarioServer.health`)."""
-        return self._server.health().to_dict()
-
-    def close(self) -> None:
-        """Shut the server down (graceful: drains admitted work)."""
-        self._server.shutdown()
-
-    def __enter__(self) -> "ServerHandle":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()

@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.config import LiveObsOptions
 from repro.gridsys.cluster import Cluster
 from repro.gridsys.failures import FailureEvent
 from repro.gridsys.node import Node
@@ -143,7 +142,6 @@ class SimWorld:
             max_retries=script.max_retries,
             scenario_modules=(),
             death_injector=self._death,
-            live_obs=LiveObsOptions(enabled=True, flight_capacity=256),
             clock=self.clock,
             sleeper=self._sim_sleep,
             start=False,

@@ -4,10 +4,12 @@ A static check that keeps dead code from coming back.  Each definition
 under ``src/repro`` must be named outside its own ``def``/``class``
 line: as an identifier, an attribute, an import alias, a keyword
 argument or a string constant anywhere in ``src/``, ``tests/``,
-``benchmarks/``, ``perfbench/`` or ``examples/``, or as a whole word in
-README.md, DESIGN.md, EXPERIMENTS.md or a CI workflow.  Dunders are
-exempt (the language calls them), and so is :data:`ALLOWLIST`, each
-entry with its reason.
+``benchmarks/``, ``perfbench/`` or ``examples/``, as a whole word in a
+CI workflow, or as a whole word inside the code of README.md, DESIGN.md
+or EXPERIMENTS.md (inline backquoted spans and fenced blocks; their
+prose does not count, or every definition named like an ordinary
+English word would pass).  Dunders are exempt (the language calls
+them), and so is :data:`ALLOWLIST`, each entry with its reason.
 
 The check matches names, not bindings: a method that shares its name
 with a referenced method elsewhere (say, an unused ``summary`` on one
@@ -64,10 +66,16 @@ def _definitions_and_references() -> tuple[dict[str, list[str]], set[str]]:
     return defs, refs
 
 
+#: a fenced block, or an inline backquoted span within one line
+_DOC_CODE = re.compile(r"```.*?```|`[^`\n]+`", re.DOTALL)
+
+
 def _doc_words() -> set[str]:
-    paths = [ROOT / name for name in DOCS]
-    paths += sorted((ROOT / ".github" / "workflows").glob("*.yml"))
-    return {w for p in paths for w in re.findall(r"\w+", p.read_text())}
+    code = [m for name in DOCS
+            for m in _DOC_CODE.findall((ROOT / name).read_text())]
+    code += [p.read_text()
+             for p in sorted((ROOT / ".github" / "workflows").glob("*.yml"))]
+    return {w for text in code for w in re.findall(r"\w+", text)}
 
 
 @functools.cache

@@ -2,9 +2,8 @@
 
 Unit coverage for :mod:`repro.obs.live` (Prometheus text rendering with
 escaping and histogram buckets, the periodic JSONL snapshot exporter,
-multi-window SLO burn-rate alerting, the bounded flight recorder, the
-``repro top`` frame renderer) plus the sliding-window mode added to
-:class:`repro.obs.metrics.Histogram`.
+multi-window SLO burn-rate alerting and its latency ring, the bounded
+flight recorder, the ``repro top`` frame renderer).
 """
 
 from __future__ import annotations
@@ -14,8 +13,11 @@ import re
 
 import pytest
 
-from repro.config import LiveObsOptions
 from repro.obs.live import (
+    BURN_THRESHOLD,
+    LATENCY_TARGET_S,
+    LONG_WINDOW,
+    SHORT_WINDOW,
     FlightRecorder,
     HealthStatus,
     SloTracker,
@@ -25,7 +27,7 @@ from repro.obs.live import (
     render_dashboard,
     render_prometheus,
 )
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, nearest_rank
 
 # -- Prometheus exposition -----------------------------------------------------
 
@@ -105,49 +107,6 @@ class TestRenderPrometheus:
         assert escape_label_value('a"b') == 'a\\"b'
 
 
-# -- sliding-window histogram --------------------------------------------------
-
-
-class TestWindowedHistogram:
-    def test_cumulative_default_unchanged(self):
-        h = Histogram("h")
-        for v in range(1, 11):
-            h.observe(float(v))
-        assert h.window is None
-        assert h.recent() == []
-        assert h.count == 10
-        assert h.summary()["count"] == 10
-
-    def test_window_keeps_last_n_and_exact_quantiles(self):
-        h = Histogram("h", window=4)
-        for v in (100.0, 1.0, 2.0, 3.0, 4.0):
-            h.observe(v)
-        # the early outlier fell out of the ring ...
-        assert h.recent() == [1.0, 2.0, 3.0, 4.0]
-        assert h.quantile(0.5) == 2.0
-        assert h.quantile(1.0) == 4.0
-        s = h.summary()
-        assert s["count"] == 4
-        assert s["max"] == 4.0
-        # ... but the cumulative lifetime totals still remember it
-        assert s["lifetime_count"] == 5
-        assert h.count == 5
-        assert h.total == 110.0
-
-    def test_window_validation(self):
-        with pytest.raises(ValueError):
-            Histogram("h", window=0)
-        with pytest.raises(ValueError):
-            MetricsRegistry().histogram("h", 0)
-
-    def test_registry_window_set_at_creation(self):
-        reg = MetricsRegistry()
-        h1 = reg.histogram("h", 8, lane="x")
-        h2 = reg.histogram("h", lane="x")  # same instrument, window kept
-        assert h1 is h2
-        assert h2.window == 8
-
-
 # -- snapshot exporter ---------------------------------------------------------
 
 
@@ -203,53 +162,51 @@ class TestSnapshotExporter:
 # -- SLO tracker ---------------------------------------------------------------
 
 
-def _tracker(**kw):
-    kw.setdefault("latency_target_s", 1.0)
-    kw.setdefault("latency_budget", 0.1)
-    kw.setdefault("shed_budget", 0.1)
-    kw.setdefault("short_window", 4)
-    kw.setdefault("long_window", 8)
-    kw.setdefault("burn_threshold", 2.0)
-    return SloTracker(**kw)
+SLOW = 2 * LATENCY_TARGET_S
 
 
 class TestSloTracker:
     def test_no_traffic_no_alerts(self):
-        t = _tracker()
+        t = SloTracker()
         assert t.alerts() == []
         summary = t.summary()
-        assert summary["objectives"]["latency_target_s"] == 1.0
+        assert summary["objectives"]["latency_target_s"] == LATENCY_TARGET_S
         assert all(not lane["latency_alerting"]
                    for lane in summary["lanes"].values())
 
     def test_sustained_latency_burn_alerts(self):
-        t = _tracker()
-        # 50% of requests violate a 10% budget -> burn 5x in both windows
-        for k in range(16):
-            t.record_latency("normal", 2.0 if k % 2 else 0.1)
+        t = SloTracker()
+        # 50% of requests violate a 5% budget -> burn 10x in both windows
+        for k in range(LONG_WINDOW):
+            t.record_latency("normal", SLOW if k % 2 else 0.1)
         alerts = t.alerts()
         assert [a.series for a in alerts] == ["slo.normal.latency"]
-        assert alerts[0].value == pytest.approx(5.0)
-        assert alerts[0].mean == pytest.approx(5.0)
-        assert alerts[0].zscore == pytest.approx(2.5)
+        assert alerts[0].value == pytest.approx(10.0)
+        assert alerts[0].mean == pytest.approx(10.0)
+        assert alerts[0].zscore == pytest.approx(10.0 / BURN_THRESHOLD)
         assert t.summary()["lanes"]["normal"]["latency_alerting"]
 
     def test_brief_spike_absorbed_by_long_window(self):
-        t = _tracker()
-        # a long healthy history, then one violation: enough to burn the
-        # short window (1/4 over a 10% budget = 2.5x) but not the long
-        # one (1/8 = 1.25x)
-        for _ in range(8):
+        t = SloTracker()
+        # a full healthy ring, then four violations: enough to burn the
+        # short window (4/32 over a 5% budget = 2.5x) but not the long
+        # one (4/256 = 0.3x)
+        for _ in range(LONG_WINDOW):
             t.record_latency("high", 0.1)
-        t.record_latency("high", 5.0)
+        for _ in range(4):
+            t.record_latency("high", SLOW)
         lanes = t.summary()["lanes"]["high"]
-        assert lanes["latency_burn_short"] >= 2.0
-        assert lanes["latency_burn_long"] < 2.0
+        assert lanes["latency_burn_short"] == pytest.approx(
+            4 / SHORT_WINDOW / 0.05
+        )
+        assert lanes["latency_burn_short"] >= BURN_THRESHOLD
+        assert lanes["latency_burn_long"] < BURN_THRESHOLD
         assert not lanes["latency_alerting"]
+        assert lanes["violations"] == 4
         assert t.alerts() == []
 
     def test_shed_burn_tracked_separately(self):
-        t = _tracker()
+        t = SloTracker()
         for _ in range(8):
             t.record_admission("low", shed=True)
         alerts = t.alerts()
@@ -257,22 +214,23 @@ class TestSloTracker:
         assert t.summary()["lanes"]["low"]["sheds"] == 8
 
     def test_unknown_lane_materializes(self):
-        t = _tracker()
+        t = SloTracker()
         t.record_latency("bulk", 0.2)
         assert "bulk" in t.summary()["lanes"]
 
-    @pytest.mark.parametrize("kw", [
-        {"latency_target_s": 0},
-        {"latency_budget": 0.0},
-        {"latency_budget": 1.0},
-        {"shed_budget": 1.5},
-        {"short_window": 0},
-        {"short_window": 9},  # > long_window
-        {"burn_threshold": 0},
-    ])
-    def test_validation(self, kw):
-        with pytest.raises(ValueError):
-            _tracker(**kw)
+    def test_latency_quantiles_over_the_ring(self):
+        t = SloTracker()
+        values = [((k * 37) % 101) / 10.0 for k in range(LONG_WINDOW + 40)]
+        for v in values:
+            t.record_latency("normal", v)
+        ring = sorted(values[-LONG_WINDOW:])
+        lane = t.latency()["normal"]
+        assert lane["count"] == LONG_WINDOW
+        for q, key in ((0.50, "p50"), (0.95, "p95"), (0.99, "p99")):
+            assert lane[key] == nearest_rank(ring, q)
+        assert t.latency()["high"] == {
+            "count": 0, "p50": 0.0, "p95": 0.0, "p99": 0.0,
+        }
 
 
 # -- flight recorder -----------------------------------------------------------
@@ -311,32 +269,6 @@ class TestFlightRecorder:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             FlightRecorder(capacity=0)
-
-
-# -- config --------------------------------------------------------------------
-
-
-class TestLiveObsOptions:
-    def test_disabled_default_builds_null_flight(self):
-        opts = LiveObsOptions()
-        assert not opts.enabled
-        assert opts.build_flight_recorder() is None
-
-    def test_enabled_builds_real_components(self):
-        opts = LiveObsOptions(enabled=True, flight_capacity=7,
-                              slo_burn_threshold=3.0)
-        fr = opts.build_flight_recorder()
-        assert isinstance(fr, FlightRecorder)
-        assert fr.capacity == 7
-        assert opts.build_slo_tracker().burn_threshold == 3.0
-
-    @pytest.mark.parametrize("kw", [
-        {"snapshot_interval_s": 0},
-        {"flight_capacity": 0},
-    ])
-    def test_validation(self, kw):
-        with pytest.raises(ValueError):
-            LiveObsOptions(**kw)
 
 
 # -- dashboard rendering -------------------------------------------------------

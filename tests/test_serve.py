@@ -21,7 +21,6 @@ from repro.serve import (
     JobFailed,
     JobQueue,
     ScenarioServer,
-    ServerHandle,
     ShedError,
 )
 from repro.serve.jsonl import (
@@ -406,18 +405,18 @@ class TestScenarioServer:
         assert "done" in seen
 
 
-class TestServerHandle:
-    def test_facade_round_trip(self):
-        with ServerHandle(workers=1, scenario_modules=()) as pragma:
-            handle = pragma.submit("srv-quick", {"x": 5}, priority="high")
+class TestServerContextManager:
+    def test_round_trip(self):
+        with ScenarioServer(workers=1, scenario_modules=()) as server:
+            handle = server.submit("srv-quick", {"x": 5}, priority="high")
             assert handle.result(timeout=10)["square"] == 25
-            assert pragma.drain(timeout=10)
-            assert pragma.stats()["counters"]["completed"] == 1
-        assert pragma.server.running is False
+            assert server.drain(timeout=10)
+            assert server.stats()["counters"]["completed"] == 1
+        assert server.running is False
 
     def test_submit_many_order(self):
-        with ServerHandle(workers=1, scenario_modules=()) as pragma:
-            handles = pragma.submit_many([
+        with ScenarioServer(workers=1, scenario_modules=()) as server:
+            handles = server.submit_many([
                 {"scenario": "srv-quick", "params": {"x": 1}},
                 {"scenario": "srv-quick", "params": {"x": 2}},
             ])
@@ -539,6 +538,32 @@ class TestJsonlSocket:
             t.join(timeout=10)
             assert not t.is_alive()
 
+    def test_comment_and_blank_lines_skipped(self, tmp_path):
+        """The socket skips ``#`` comments and blank lines like stream
+        mode does, instead of answering them with ``invalid JSON``."""
+        path = str(tmp_path / "serve.sock")
+        with make_server(workers=1) as server:
+            ready = threading.Event()
+            t = threading.Thread(
+                target=serve_socket, args=(server, path),
+                kwargs={"ready": ready}, daemon=True,
+            )
+            t.start()
+            assert ready.wait(timeout=5)
+            client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            client.connect(path)
+            fh = client.makefile("rw", encoding="utf-8")
+            fh.write('# hello\n\n  # indented\n{"op": "health"}\n')
+            fh.flush()
+            # the first answer is the health document, not an error
+            assert json.loads(fh.readline())["op"] == "health"
+            fh.write('{"op": "shutdown"}\n')
+            fh.flush()
+            assert json.loads(fh.readline())["op"] == "shutdown-ack"
+            client.close()
+            t.join(timeout=10)
+            assert not t.is_alive()
+
     def test_socket_path_reused_across_invocations(self, tmp_path):
         """A stale socket file (prior run or crash) must not block a new
         listener — AF_UNIX ignores SO_REUSEADDR, so the file has to be
@@ -585,7 +610,7 @@ class TestReviewRegressions:
             with pytest.raises(ValueError, match="unknown priority"):
                 server.submit("srv-quick", priority="urgent")
             with pytest.raises(ValueError, match="unknown priority"):
-                ServerHandle(server=server).submit("srv-quick", priority="")
+                server.submit("srv-quick", priority="")
             assert server.stats()["counters"] == {}
 
     def test_committed_twin_is_not_attached(self):

@@ -4,22 +4,27 @@ Integration coverage for the observability plane threaded through
 :class:`repro.serve.server.ScenarioServer`: the ``metrics`` / ``health``
 / ``stats-stream`` verbs over the UNIX-domain socket (idle, under
 concurrent dispatch, and malformed), readiness transitions, the flight
-recorder's capture/dump lifecycle, the ``repro top`` CLI, and the
-zero-cost guarantee of the disabled default.
+recorder's capture/dump lifecycle, the SLO tracker's latency ring
+behind the dashboard's lane quantiles, and the ``repro top`` CLI.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import socket
 import threading
-import time
 
 import pytest
 
 from repro.cli import main
-from repro.config import LiveObsOptions
-from repro.obs.live import CONTENT_TYPE, FlightRecorder
+from repro.obs.live import (
+    CONTENT_TYPE,
+    LATENCY_TARGET_S,
+    LONG_WINDOW,
+    FlightRecorder,
+)
+from repro.obs.metrics import nearest_rank
 from repro.serve.jsonl import Session, serve_socket
 from repro.serve.protocol import ProtocolError, parse_request
 from repro.serve.server import ScenarioServer
@@ -58,11 +63,6 @@ def _register_scenarios():
 def make_server(**kwargs):
     kwargs.setdefault("scenario_modules", ())
     return ScenarioServer(**kwargs)
-
-
-def live_options(**over):
-    over.setdefault("enabled", True)
-    return LiveObsOptions(**over)
 
 
 def _connect(path):
@@ -105,7 +105,7 @@ class _SocketFixture:
 
 @pytest.fixture
 def sock_server(tmp_path):
-    server = make_server(workers=1, live_obs=live_options())
+    server = make_server(workers=1)
     fixture = _SocketFixture(server, str(tmp_path / "serve.sock"))
     yield fixture
     fixture.close()
@@ -246,11 +246,7 @@ class TestHealthGates:
 class TestFlightIntegration:
     def test_events_recorded_and_dumped_on_shutdown(self, tmp_path):
         dump = tmp_path / "flight.jsonl"
-        server = make_server(
-            workers=1,
-            live_obs=live_options(flight_capacity=32,
-                                  flight_dump_path=str(dump)),
-        )
+        server = make_server(workers=1, flight_dump_path=str(dump))
         server.submit("live-quick").result(timeout=10)
         server.submit("no-such-scenario")
         server.shutdown()
@@ -263,7 +259,7 @@ class TestFlightIntegration:
         assert shed["scenario"] == "no-such-scenario"
 
     def test_dump_on_demand_to_explicit_path(self, tmp_path):
-        with make_server(workers=1, live_obs=live_options()) as server:
+        with make_server(workers=1) as server:
             server.submit("live-quick").result(timeout=10)
             n = server.dump_flight(tmp_path / "now.jsonl")
             assert n >= 3
@@ -273,9 +269,7 @@ class TestFlightIntegration:
         def injector(job, attempt):
             return "before" if attempt == 0 else None
 
-        server = make_server(
-            workers=1, death_injector=injector, live_obs=live_options()
-        )
+        server = make_server(workers=1, death_injector=injector)
         try:
             server.submit("live-quick").result(timeout=10)
         finally:
@@ -290,8 +284,7 @@ class TestFlightIntegration:
 
 class TestSloIntegration:
     def test_load_sheds_recorded_but_client_errors_not(self):
-        server = make_server(workers=1, queue_capacity=1, start=False,
-                             live_obs=live_options())
+        server = make_server(workers=1, queue_capacity=1, start=False)
         try:
             server.submit("no-such-scenario")  # client error: not load
             lanes = server._slo.summary()["lanes"]
@@ -308,23 +301,49 @@ class TestSloIntegration:
             server.shutdown()
 
     def test_latency_recorded_for_done_and_cache_hit(self):
-        with make_server(workers=1, live_obs=live_options()) as server:
+        with make_server(workers=1) as server:
             server.submit("live-quick").result(timeout=10)
             server.drain(timeout=10)
             first = server._slo.summary()["lanes"]["normal"]["requests"]
             assert first == 1
+            assert server.live_snapshot()["latency"]["normal"]["count"] == 1
             server.submit("live-quick").result(timeout=10)  # cache hit
             assert (server._slo.summary()["lanes"]["normal"]["requests"]
                     == 2)
             assert server.stats()["counters"]["cache_hits"] == 1
+            # the execution and the cache hit share the lane's one ring;
+            # the Prometheus histogram counts executions only
+            assert server.live_snapshot()["latency"]["normal"]["count"] == 2
+            assert server.metrics.histogram(
+                "serve.request_latency_seconds", priority="normal"
+            ).count == 1
+
+    def test_tick_latency_is_the_slo_ring(self):
+        with make_server(workers=1) as server:
+            handles = [server.submit("live-quick")]
+            handles[0].result(timeout=10)
+            server.drain(timeout=10)
+            # the rest are cache hits: more than the ring holds
+            handles += [server.submit("live-quick")
+                        for _ in range(LONG_WINDOW + 7)]
+            tick = server.live_snapshot()
+        requests = tick["slo"]["lanes"]["normal"]["requests"]
+        assert requests == LONG_WINDOW + 8
+        lane = tick["latency"]["normal"]
+        assert lane["count"] == min(requests, LONG_WINDOW)
+        ring = sorted(h._job.finished_t - h._job.submitted_t
+                      for h in handles[-LONG_WINDOW:])
+        for q, key in ((0.50, "p50"), (0.95, "p95"), (0.99, "p99")):
+            assert lane[key] == nearest_rank(ring, q)
 
     def test_slo_alerts_reach_the_alert_shape(self):
-        opts = live_options(slo_latency_target_s=1e-9, slo_short_window=2,
-                            slo_long_window=4)
-        with make_server(workers=1, live_obs=opts) as server:
+        # every clock read is one latency target later, so each request
+        # takes longer than the target and both windows burn
+        ticks = itertools.count(0.0, LATENCY_TARGET_S + 1.0)
+        with make_server(workers=1, clock=lambda: next(ticks)) as server:
             for k in range(4):
                 server.submit("live-quick", {"x": k}).result(timeout=10)
-            server.drain(timeout=10)
+            server.drain()
             alerts = server.slo_alerts()
             assert [a.series for a in alerts] == ["slo.normal.latency"]
             assert alerts[0].value >= 2.0
@@ -336,9 +355,7 @@ class TestSloIntegration:
 def test_snapshot_exporter_runs_with_server(tmp_path):
     path = tmp_path / "telemetry.jsonl"
     server = make_server(
-        workers=1,
-        live_obs=live_options(snapshot_path=str(path),
-                              snapshot_interval_s=3600.0),
+        workers=1, snapshot_path=str(path), snapshot_interval_s=3600.0,
     )
     server.submit("live-quick").result(timeout=10)
     server.drain(timeout=10)
@@ -356,7 +373,7 @@ def test_snapshot_exporter_runs_with_server(tmp_path):
 
 class TestTopVerb:
     def test_once_renders_a_frame_over_the_socket(self, tmp_path, capsys):
-        server = make_server(workers=1, live_obs=live_options())
+        server = make_server(workers=1)
         fixture = _SocketFixture(server, str(tmp_path / "serve.sock"))
         try:
             fixture.ask({"op": "submit", "id": "q",
@@ -373,7 +390,7 @@ class TestTopVerb:
             server.shutdown()
 
     def test_count_renders_that_many_frames(self, tmp_path, capsys):
-        server = make_server(workers=1, live_obs=live_options())
+        server = make_server(workers=1)
         fixture = _SocketFixture(server, str(tmp_path / "serve.sock"))
         try:
             code = main(["top", "--socket", fixture.path, "--count", "2",
@@ -390,59 +407,6 @@ class TestTopVerb:
                      "--once"])
         assert code == 1
         assert "cannot reach server" in capsys.readouterr().err
-
-
-# -- disabled default stays zero-cost ------------------------------------------
-
-
-class TestDisabledPathOverhead:
-    def test_default_server_has_no_live_machinery(self, tmp_path):
-        with make_server(workers=1) as server:
-            assert server._flight is None
-            assert server._slo is None
-            assert server._exporter is None
-            assert server._latency_window is None
-            # the live verbs still answer from the always-on registry
-            server.submit("live-quick").result(timeout=10)
-            assert server.health().ready
-            assert "serve_submitted_total" in server.scrape_metrics()
-            snap = server.live_snapshot()
-            assert snap["slo"] is None
-            assert snap["flight_tail"] == []
-            assert server.dump_flight(tmp_path / "none.jsonl") == 0
-            assert not (tmp_path / "none.jsonl").exists()
-
-    def test_stats_shape_unchanged_and_empty_initially(self):
-        server = make_server(workers=1, start=False)
-        assert server.stats()["counters"] == {}
-        server.shutdown()
-
-    def test_submit_overhead_guard(self):
-        """Enabled live obs may not blow up the shed-path submit cost.
-
-        Generous 5x bound on medians — this is a structural smoke guard
-        against accidental heavy work on the hot path, not a benchmark
-        (BENCH_obs.json carries the measured ratio).
-        """
-
-        def median_shed_cost(server, n=300):
-            times = []
-            for _ in range(5):
-                t0 = time.perf_counter()
-                for _ in range(n):
-                    server.submit("no-such-scenario")
-                times.append(time.perf_counter() - t0)
-            return sorted(times)[len(times) // 2]
-
-        base = make_server(workers=1, start=False)
-        live = make_server(workers=1, start=False, live_obs=live_options())
-        try:
-            cold = median_shed_cost(base)
-            hot = median_shed_cost(live)
-        finally:
-            base.shutdown()
-            live.shutdown()
-        assert hot < cold * 5.0
 
 
 # -- session dispatch without a socket -----------------------------------------
@@ -464,7 +428,7 @@ def test_flight_recorder_attrs_win_over_job_fields():
     """The queued event's own priority attr must not collide with the
     job-derived record fields."""
     fr = FlightRecorder(capacity=4)
-    with make_server(workers=1, live_obs=live_options()) as server:
+    with make_server(workers=1) as server:
         server.submit("live-quick", priority="high").result(timeout=10)
         queued = [e for e in server._flight.tail()
                   if e["kind"] == "queued"]

@@ -10,7 +10,6 @@ paced by an injected sleeper instead of wall-clock sleeps.
 
 from __future__ import annotations
 
-from repro.config import LiveObsOptions
 from repro.serve.jsonl import Session
 from repro.serve.server import ScenarioServer
 from repro.simtest import WorkloadScript, run_script
@@ -95,7 +94,6 @@ class TestStatsStreamAcrossWorkerDeath:
                 "before" if attempt == 0 else None
             ),
             max_retries=2,
-            live_obs=LiveObsOptions(enabled=True),
         )
         try:
             ticks: list[float] = []
