@@ -40,7 +40,7 @@ from repro.api import (
     run_sweep,
 )
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "__version__",

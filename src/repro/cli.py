@@ -143,6 +143,7 @@ def _common_parent() -> argparse.ArgumentParser:
 def run_main(args: argparse.Namespace) -> int:
     """The ``run`` verb: paper-fidelity experiments -> tables/figures."""
     from repro.sweep.builtin import paper_scenario
+    from repro.sweep.scenario import execute_scenario, run_identity
 
     names = (
         sorted(EXPERIMENTS) if "all" in args.experiments else args.experiments
@@ -160,9 +161,9 @@ def run_main(args: argparse.Namespace) -> int:
     documents = {}
     for name in names:
         scenario = paper_scenario(name)
-        ctx = scenario.make_context(args.seed, cache_dir)
+        params, seed, _ = run_identity(scenario, base_seed=args.seed)
         t0 = time.perf_counter()
-        result = scenario.run(ctx)
+        result = execute_scenario(scenario, params, seed, cache_dir)
         elapsed = time.perf_counter() - t0
         documents[name] = result
         if args.json is None:
@@ -176,12 +177,11 @@ def run_main(args: argparse.Namespace) -> int:
 def sweep_main(args: argparse.Namespace) -> int:
     """The ``sweep`` verb: parallel cache-aware scenario execution."""
     from repro.sweep import run_sweep
-    from repro.sweep.runner import _import_scenario_modules
 
     if args.list:
-        from repro.sweep.scenario import all_scenarios
+        from repro.sweep.scenario import all_scenarios, import_scenario_modules
 
-        _import_scenario_modules(("repro.sweep.builtin",))
+        import_scenario_modules(("repro.sweep.builtin",))
         for scenario in all_scenarios():
             tags = ",".join(sorted(scenario.tags)) or "-"
             print(f"{scenario.name:<24} [{tags:<16}] {scenario.description}")

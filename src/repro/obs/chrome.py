@@ -133,10 +133,9 @@ def collect_trace(
     from repro import obs
     from repro.core.online import OnlineAdaptiveRuntime
     from repro.obs.report import quickstart_scenario
-    from repro.partitioners import deterministic_partition_time
 
     app, policy, runtime = quickstart_scenario()
-    with obs.collect() as window, deterministic_partition_time():
+    with obs.collect() as window:
         trace = runtime.characterize(app, policy, num_coarse_steps)
         runtime.run_adaptive(trace, compare_with=("SFC",))
         if online_steps > 0:

@@ -177,7 +177,6 @@ def collect_run_report(
     compare_with: tuple[str, ...] = ("G-MISP+SP", "SFC"),
     online_steps: int = 48,
     include_spans: bool = False,
-    deterministic: bool = True,
 ) -> RunReport:
     """Run the scenario under a collection window and build the report.
 
@@ -185,15 +184,10 @@ def collect_run_report(
     ``runtime`` together to observe a custom one.  ``online_steps`` drives
     a short :class:`~repro.core.online.OnlineAdaptiveRuntime` run so the
     message-center counters reflect real agent traffic (0 skips it).
-    ``deterministic`` replaces measured partitioner wall-clock with the
-    deterministic cost model, making the simulated-seconds sections
-    reproducible across machines — what the benchdiff gate needs; pass
-    ``False`` to fold real partitioner timings back in.
+    Partition time is modeled, so the simulated-seconds sections are the
+    same on every machine — what the benchdiff gate needs.
     """
-    from contextlib import nullcontext
-
     from repro.core.online import OnlineAdaptiveRuntime
-    from repro.partitioners import deterministic_partition_time
 
     if app is None or policy is None or runtime is None:
         if (app, policy, runtime) != (None, None, None):
@@ -202,8 +196,7 @@ def collect_run_report(
             )
         app, policy, runtime = quickstart_scenario()
 
-    timing = deterministic_partition_time() if deterministic else nullcontext()
-    with obs.collect() as window, timing:
+    with obs.collect() as window:
         capacities = runtime.capacities()
         trace = runtime.characterize(app, policy, num_coarse_steps)
         adaptive_report = runtime.run_adaptive(

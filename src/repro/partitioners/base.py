@@ -35,9 +35,9 @@ def deterministic_partition_time(
     ``Partition.partition_time`` is modeled as
     ``seconds_per_unit * len(units)`` by default (see
     :meth:`Partitioner.partition`), so this context is only needed to
-    *change* the per-unit cost — e.g. the scenario sweep engine
-    (:mod:`repro.sweep`) pins it explicitly so sweep digests are
-    insensitive to any future default change.  The override is
+    *change* the per-unit cost — e.g. the scenario executor
+    (:func:`repro.sweep.execute_scenario`) pins it explicitly so scenario
+    digests are insensitive to any future default change.  The override is
     thread-local, so concurrent server workers each scoping it cannot
     clobber (or leak) each other's value.
     """

@@ -200,22 +200,17 @@ def run_chaos(config: ChaosConfig | None = None) -> dict:
     ft = FaultTolerance()
 
     from repro.execsim import ExecutionSimulator
-    from repro.partitioners import deterministic_partition_time
 
-    # Deterministic partitioner timings keep the whole document
-    # machine-independent, so committed BENCH_chaos.json baselines can be
-    # gated with `python -m repro benchdiff`.
-    with deterministic_partition_time():
-        clean = ExecutionSimulator(
-            make_cluster(), options=SimulatorOptions(fault_tolerance=False)
-        ).run(trace, selector)
-        clean_runtime = clean.total_runtime
+    clean = ExecutionSimulator(
+        make_cluster(), options=SimulatorOptions(fault_tolerance=False)
+    ).run(trace, selector)
+    clean_runtime = clean.total_runtime
 
-        runs = [
-            _replay_one(config, seed, trace, selector, make_cluster,
-                        clean_runtime, ft)
-            for seed in config.seeds
-        ]
+    runs = [
+        _replay_one(config, seed, trace, selector, make_cluster,
+                    clean_runtime, ft)
+        for seed in config.seeds
+    ]
     soaks = (
         [_soak_one(config, seed) for seed in config.seeds]
         if config.loss_rate > 0.0
@@ -648,30 +643,28 @@ def run_chaos_matrix(config: MatrixConfig | None = None) -> dict:
     trace, selector, make_cluster = _quickstart_pieces(shim)
 
     from repro.execsim import ExecutionSimulator
-    from repro.partitioners import deterministic_partition_time
 
     cells: list[dict] = []
-    with deterministic_partition_time():
-        clean = ExecutionSimulator(
-            make_cluster(), options=SimulatorOptions(fault_tolerance=False)
-        ).run(trace, selector)
-        clean_runtime = clean.total_runtime
-        for fault in config.fault_types:
-            for intensity in config.intensities:
-                if fault == "crash":
-                    cell = _cell_crash(config, intensity, trace, selector,
-                                       make_cluster, clean_runtime)
-                elif fault == "degraded":
-                    cell = _cell_degraded(config, intensity, trace, selector,
-                                          make_cluster, clean_runtime)
-                elif fault == "flapping":
-                    cell = _cell_flapping(config, intensity, trace, selector,
-                                          make_cluster, clean_runtime)
-                elif fault == "partition":
-                    cell = _cell_partition(config, intensity)
-                else:
-                    cell = _cell_checkpoint(config, intensity, trace)
-                cells.append(cell)
+    clean = ExecutionSimulator(
+        make_cluster(), options=SimulatorOptions(fault_tolerance=False)
+    ).run(trace, selector)
+    clean_runtime = clean.total_runtime
+    for fault in config.fault_types:
+        for intensity in config.intensities:
+            if fault == "crash":
+                cell = _cell_crash(config, intensity, trace, selector,
+                                   make_cluster, clean_runtime)
+            elif fault == "degraded":
+                cell = _cell_degraded(config, intensity, trace, selector,
+                                      make_cluster, clean_runtime)
+            elif fault == "flapping":
+                cell = _cell_flapping(config, intensity, trace, selector,
+                                      make_cluster, clean_runtime)
+            elif fault == "partition":
+                cell = _cell_partition(config, intensity)
+            else:
+                cell = _cell_checkpoint(config, intensity, trace)
+            cells.append(cell)
 
     all_hold = all(all(c["invariants"].values()) for c in cells)
     return {

@@ -261,8 +261,7 @@ class Scheduler:
                 self.metrics.counter("serve.cancelled", where="post-run").inc()
                 return
             job.result = result
-            if self._transition(job, "done"):
-                self.metrics.counter("serve.completed").inc()
+            self._transition(job, "done")
             return
 
     def _attempt(self, job: Job, attempt: int) -> Any:

@@ -47,7 +47,6 @@ from repro.obs.live import (
     SnapshotExporter,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.partitioners import deterministic_partition_time
 from repro.serve.protocol import PRIORITIES
 from repro.serve.queue import (
     SHED_QUEUE_FULL,
@@ -60,17 +59,14 @@ from repro.serve.queue import (
     ShedError,
 )
 from repro.serve.scheduler import Scheduler
-from repro.sweep.cache import ResultCache, cache_key
-from repro.sweep.runner import (
-    DEFAULT_SCENARIO_MODULES,
-    _import_scenario_modules,
-    _warm_requirement,
-)
+from repro.sweep.cache import ResultCache, cache_record
+from repro.sweep.runner import DEFAULT_SCENARIO_MODULES
 from repro.sweep.scenario import (
-    ScenarioContext,
-    derive_seed,
+    execute_scenario,
     get_scenario,
-    jsonify,
+    import_scenario_modules,
+    run_identity,
+    warm_requirement,
 )
 
 __all__ = ["JobHandle", "ScenarioServer"]
@@ -225,7 +221,6 @@ class ScenarioServer:
         queue_capacity: int = 64,
         max_batch: int = 4,
         base_seed: int = 0,
-        cache: ResultCache | _MemoryCache | None = None,
         cache_dir: str | None = None,
         use_cache: bool = True,
         retry_policy: DeliveryPolicy | None = None,
@@ -242,7 +237,7 @@ class ScenarioServer:
     ) -> None:
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        _import_scenario_modules(scenario_modules)
+        import_scenario_modules(scenario_modules)
         #: the server's one time source.  Every timestamp the runtime
         #: takes — submit/start/finish marks, event times, uptime, drain
         #: deadlines, commit-age health checks, the snapshot exporter —
@@ -253,16 +248,16 @@ class ScenarioServer:
         self.clock = clock if clock is not None else time.monotonic
         self.sleeper = sleeper if sleeper is not None else time.sleep
         self.base_seed = base_seed
-        self.cache_dir = cache_dir
+        #: shared inputs (traces) live under ``cache_dir``, results under
+        #: ``cache_dir/serve``; without one, results stay in memory
+        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.use_cache = use_cache
         self.max_retries = max_retries
         self.default_timeout_s = default_timeout_s
-        if cache is not None:
-            self.cache = cache
-        elif cache_dir is not None:
-            self.cache = ResultCache(Path(cache_dir) / "serve")
-        else:
-            self.cache = _MemoryCache()
+        self.cache = (
+            ResultCache(self.cache_dir / "serve")
+            if self.cache_dir is not None else _MemoryCache()
+        )
         #: the server's own always-on registry — the one sink for
         #: ``serve.*`` metrics and the source behind :meth:`stats`, the
         #: ``metrics`` exposition endpoint and the live dashboard
@@ -442,11 +437,9 @@ class ScenarioServer:
         except KeyError:
             job = self._make_job(name, dict(params or {}), priority)
             return self._shed_job(job, SHED_UNKNOWN_SCENARIO)
-        merged = {**scenario.params, **(params or {})}
-        key = cache_key(name, merged, version=scenario.version)
+        merged, seed, key = run_identity(scenario, params, self.base_seed)
         job = self._make_job(name, merged, priority)
-        job.key = key
-        job.seed = derive_seed(name, merged, self.base_seed)
+        job.key, job.seed = key, seed
         job.timeout_s = timeout_s if timeout_s is not None else self.default_timeout_s
         job.max_retries = (
             max_retries if max_retries is not None else self.max_retries
@@ -460,7 +453,7 @@ class ScenarioServer:
             doc = self.cache.get(key)
             if doc is not None:
                 job.status = "done"
-                job.result = doc.get("result")
+                job.result = doc["result"]
                 job.cached = True
                 job.committed = True
                 job.finished_t = self.clock()
@@ -582,30 +575,19 @@ class ScenarioServer:
     # -- execution (called from worker threads) ----------------------------------
 
     def _warm(self, req: str) -> None:
-        _warm_requirement(
-            req, Path(self.cache_dir) if self.cache_dir else None
-        )
+        warm_requirement(req, self.cache_dir)
 
     def _execute_job(self, job: Job) -> Any:
-        scenario = get_scenario(job.name)
-        ctx = ScenarioContext(
-            params=dict(job.params),
-            seed=job.seed,
-            cache_dir=Path(self.cache_dir) if self.cache_dir else None,
+        return execute_scenario(
+            get_scenario(job.name), job.params, job.seed, self.cache_dir
         )
-        with deterministic_partition_time():
-            return jsonify(scenario.run(ctx))
 
     def _on_terminal(self, job: Job) -> None:
-        if job.status == "done" and not job.cached:
-            self.metrics.counter("serve.executions").inc()
-            if self.use_cache:
-                self.cache.put(job.key, {
-                    "scenario": job.name,
-                    "params": dict(job.params),
-                    "seed": job.seed,
-                    "result": job.result,
-                })
+        # cache hits never get here: they commit in submit()
+        if job.status == "done" and self.use_cache:
+            self.cache.put(job.key, cache_record(
+                job.name, job.params, job.seed, job.result
+            ))
         self.metrics.counter("serve.jobs_terminal", status=job.status).inc()
         self._last_commit_t = self.clock()
         if job.wait_s is not None:
@@ -656,8 +638,10 @@ class ScenarioServer:
         put("cache_hits", m.counter_value("serve.cache_hits"))
         put("cancelled", m.counter_value("serve.cancelled", where="pending"))
         put("cancel_requested", m.counter_value("serve.cancel_requested"))
-        put("executions", m.counter_value("serve.executions"))
-        put("completed", m.counter_value("serve.jobs_terminal", status="done"))
+        # every committed "done" is one execution: hits never commit here
+        done = m.counter_value("serve.jobs_terminal", status="done")
+        put("executions", done)
+        put("completed", done)
         put("failed", m.counter_value("serve.jobs_terminal", status="failed"))
         put("timeout", m.counter_value("serve.jobs_terminal", status="timeout"))
         return dict(sorted(out.items()))

@@ -5,11 +5,12 @@ experiments, ablations, chaos configurations — as one uniform scenario
 set:
 
 - :mod:`repro.sweep.scenario` — the :class:`Scenario` protocol, the
-  process-local registry, and deterministic identity (canonical params +
-  SHA-256 seed derivation);
+  process-local registry, and the one executor every front end runs a
+  scenario through (:func:`run_identity`: params, derived seed and cache
+  key; :func:`execute_scenario`: the run itself);
 - :mod:`repro.sweep.cache` — the content-addressed on-disk result cache
-  (scenario name + canonicalized params + code salt → checksummed
-  JSON record);
+  (code salt + version + name + canonical params + derived seed →
+  checksummed JSON record);
 - :mod:`repro.sweep.runner` — :class:`SweepRunner`, fanning cache
   misses across a process pool with ordered-deterministic collection;
 - :mod:`repro.sweep.builtin` — the stock scenario set (imported lazily
@@ -24,7 +25,7 @@ programmatic one::
     print(result.render())
 """
 
-from repro.sweep.cache import ResultCache, cache_key, code_salt
+from repro.sweep.cache import ResultCache, cache_record, code_salt
 from repro.sweep.runner import SweepResult, SweepRunner, TaskResult, run_sweep
 from repro.sweep.scenario import (
     FunctionScenario,
@@ -33,10 +34,12 @@ from repro.sweep.scenario import (
     all_scenarios,
     canonical_params,
     derive_seed,
+    execute_scenario,
     filter_scenarios,
     get_scenario,
     jsonify,
     register,
+    run_identity,
     unregister,
 )
 
@@ -49,14 +52,16 @@ __all__ = [
     "SweepRunner",
     "TaskResult",
     "all_scenarios",
-    "cache_key",
+    "cache_record",
     "canonical_params",
     "code_salt",
     "derive_seed",
+    "execute_scenario",
     "filter_scenarios",
     "get_scenario",
     "jsonify",
     "register",
+    "run_identity",
     "run_sweep",
     "unregister",
 ]

@@ -1,14 +1,16 @@
 """Content-addressed on-disk result cache for scenario sweeps.
 
-A cache entry is addressed by the SHA-256 of the scenario's full
-identity — name, canonicalized parameters, per-scenario version, and
-the code salt (:func:`code_salt`, a hash of the package's own source),
-so any edit to the code invalidates every entry at once, and bumping one
-scenario's ``version`` invalidates just that scenario.  Entries are
-checksummed records (:func:`repro.util.fileio.write_record`) with the
-salt in their header; one that fails validation is a miss.  The first
-write through a :class:`ResultCache` deletes the entries an older salt
-left behind, since no key can address them again.
+A cache entry is addressed by the key of
+:func:`~repro.sweep.scenario.run_identity`: the SHA-256 of the code salt
+(:func:`code_salt`, a hash of the package's own source), the scenario's
+version, name, canonicalized parameters and derived seed.  So any edit
+to the code invalidates every entry at once, bumping one scenario's
+``version`` invalidates just that scenario, and a run under another base
+seed never reads this one's result.  Entries hold a :func:`cache_record`
+and are checksummed records (:func:`repro.util.fileio.write_record`)
+with the salt in their header; one that fails validation is a miss.
+The first write through a :class:`ResultCache` deletes the entries an
+older salt left behind, since no key can address them again.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from repro.util.fileio import read_record, write_record
 
-__all__ = ["ResultCache", "cache_key", "code_salt"]
+__all__ = ["ResultCache", "cache_record", "code_salt"]
 
 #: header ``format`` of a cache entry
 FORMAT_NAME = "repro-result-v1"
@@ -46,33 +48,22 @@ def code_salt() -> str:
     return f"{h.hexdigest()}:numpy-{np.__version__}"
 
 
-def cache_key(
-    name: str,
-    params: dict[str, Any],
-    *,
-    version: str = "1",
-    salt: str | None = None,
-) -> str:
-    """SHA-256 identity of one scenario configuration (hex digest).
-
-    Stable under parameter reordering (parameters are canonicalized) and
-    distinct across names, parameter values, scenario versions and code
-    salts; ``salt`` defaults to :func:`code_salt`.
-    """
-    from repro.sweep.scenario import canonical_params
-
-    payload = "\n".join(["repro-sweep", salt or code_salt(), version, name,
-                         canonical_params(params)])
-    return hashlib.sha256(payload.encode()).hexdigest()
+def cache_record(
+    name: str, params: dict[str, Any], seed: int, result: Any
+) -> dict[str, Any]:
+    """The document the sweep and the server store for one finished run;
+    both read a hit's result back as ``document["result"]``."""
+    return {"scenario": name, "params": params, "seed": seed,
+            "result": result}
 
 
 class ResultCache:
     """Directory of content-addressed scenario results.
 
-    ``get``/``put`` speak full cache documents (scenario identity +
-    result payload); keys come from :func:`cache_key`.  The directory is
-    created lazily on first write so a read-only sweep never touches
-    disk.
+    ``get``/``put`` speak full cache documents (:func:`cache_record`);
+    keys come from :func:`~repro.sweep.scenario.run_identity`.  The
+    directory is created lazily on first write so a read-only sweep never
+    touches disk.
     """
 
     def __init__(self, directory: str | Path | None = None) -> None:

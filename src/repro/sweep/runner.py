@@ -18,22 +18,23 @@ spans on the serial path and a batch span around the parallel fan-out.
 
 from __future__ import annotations
 
-import importlib
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
 
 from repro import obs
-from repro.partitioners import deterministic_partition_time
-from repro.sweep.cache import ResultCache, cache_key
+from repro.sweep.cache import ResultCache, cache_record
 from repro.sweep.scenario import (
     Scenario,
+    execute_scenario,
     filter_scenarios,
     get_scenario,
-    jsonify,
-    shared_trace,
+    import_scenario_modules,
+    run_identity,
+    warm_requirement,
 )
 
 __all__ = ["TaskResult", "SweepResult", "SweepRunner", "run_sweep"]
@@ -145,14 +146,8 @@ class SweepResult:
         return "\n".join(lines)
 
 
-def _import_scenario_modules(modules: Sequence[str]) -> None:
-    """Import the modules that populate the scenario registry."""
-    for module in modules:
-        importlib.import_module(module)
-
-
-def _execute_scenario(
-    name: str, base_seed: int, cache_dir: str | None,
+def _execute_in_worker(
+    name: str, params: dict[str, Any], seed: int, cache_dir: Path | None,
     collect_spans: bool = False,
 ) -> dict[str, Any]:
     """Run one registered scenario; returns ``{"wall_s", "result"}``.
@@ -164,41 +159,13 @@ def _execute_scenario(
     worker's span dicts (``"spans"``), which the parent grafts into its
     tracer — sweep traces then show per-worker activity.
     """
-    scenario = get_scenario(name)
-    ctx = scenario.make_context(
-        base_seed, Path(cache_dir) if cache_dir else None
-    )
     t0 = time.perf_counter()
-    if collect_spans:
-        with obs.collect() as window, deterministic_partition_time():
-            result = scenario.run(ctx)
-        spans = window.tracer.to_dicts()
-    else:
-        with deterministic_partition_time():
-            result = scenario.run(ctx)
-        spans = None
-    wall = time.perf_counter() - t0
-    payload: dict[str, Any] = {"wall_s": wall, "result": jsonify(result)}
-    if spans is not None:
-        payload["spans"] = spans
+    with obs.collect() if collect_spans else nullcontext() as window:
+        result = execute_scenario(get_scenario(name), params, seed, cache_dir)
+    payload = {"wall_s": time.perf_counter() - t0, "result": result}
+    if window is not None:
+        payload["spans"] = window.tracer.to_dicts()
     return payload
-
-
-def _worker_init(modules: Sequence[str]) -> None:
-    """Process-pool initializer: populate the worker's registry."""
-    _import_scenario_modules(modules)
-
-
-def _warm_requirement(req: str, cache_dir: Path | None) -> None:
-    """Materialize one shared input (e.g. ``"trace:small"``) in the parent.
-
-    Done before fanning out so N workers do not all generate the same
-    multi-second input; unknown requirement kinds are ignored (a
-    scenario may declare inputs only it knows how to build).
-    """
-    kind, _, arg = req.partition(":")
-    if kind == "trace" and arg:
-        shared_trace(arg, cache_dir)
 
 
 class SweepRunner:
@@ -207,14 +174,14 @@ class SweepRunner:
     ``jobs`` is the worker-process count (1 = serial, in-process);
     ``use_cache=False`` skips both cache reads and writes; ``base_seed``
     feeds every scenario's deterministic seed derivation, so two sweeps
-    with the same base seed and scenario set are reproducible.
+    with the same base seed and scenario set are reproducible.  Results
+    are cached under ``cache_dir/sweep`` (``.cache/sweep`` by default).
     """
 
     def __init__(
         self,
         jobs: int = 1,
         *,
-        cache: ResultCache | None = None,
         use_cache: bool = True,
         base_seed: int = 0,
         cache_dir: str | Path | None = None,
@@ -226,158 +193,108 @@ class SweepRunner:
         self.use_cache = use_cache
         self.base_seed = base_seed
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self.cache = cache if cache is not None else ResultCache(
+        self.cache = ResultCache(
             self.cache_dir / "sweep" if self.cache_dir is not None else None
         )
         self.scenario_modules = tuple(scenario_modules)
 
     # -- internals -------------------------------------------------------------
 
-    def _lookup(self, scenario: Scenario, key: str) -> TaskResult | None:
-        """Resolve one task from the cache, or ``None`` on a miss."""
-        if not self.use_cache:
-            return None
-        t0 = time.perf_counter()
-        doc = self.cache.get(key)
-        if doc is None:
-            return None
-        return TaskResult(
-            name=scenario.name,
-            params=dict(scenario.params),
-            seed=scenario.derive_seed(self.base_seed),
-            key=key,
-            cached=True,
-            wall_s=time.perf_counter() - t0,
-            result=doc.get("result"),
-        )
-
-    def _store(self, scenario: Scenario, key: str, task: TaskResult) -> None:
-        """Write one fresh result back to the cache (parent-only)."""
-        if not self.use_cache or not task.ok:
-            return
-        self.cache.put(key, {
-            "scenario": scenario.name,
-            "params": dict(scenario.params),
-            "version": scenario.version,
-            "seed": task.seed,
-            "wall_s": task.wall_s,
-            "result": task.result,
-        })
-
-    def _run_serial(self, scenario: Scenario, key: str) -> TaskResult:
+    def _run_serial(self, task: TaskResult, scenario: Scenario) -> None:
         """Execute one miss in-process (the ``jobs=1`` path)."""
-        seed = scenario.derive_seed(self.base_seed)
         with obs.span("sweep.task", scenario=scenario.name):
             t0 = time.perf_counter()
             try:
-                ctx = scenario.make_context(self.base_seed, self.cache_dir)
-                with deterministic_partition_time():
-                    result = jsonify(scenario.run(ctx))
-                error = None
+                task.result = execute_scenario(
+                    scenario, task.params, task.seed, self.cache_dir
+                )
             except Exception as exc:  # noqa: BLE001 - isolate task failures
-                result, error = None, f"{type(exc).__name__}: {exc}"
-            wall = time.perf_counter() - t0
-        return TaskResult(
-            name=scenario.name, params=dict(scenario.params), seed=seed,
-            key=key, cached=False, wall_s=wall, result=result, error=error,
-        )
+                task.error = f"{type(exc).__name__}: {exc}"
+            task.wall_s = time.perf_counter() - t0
 
-    def _run_parallel(
-        self, misses: list[tuple[int, Scenario, str]]
-    ) -> dict[int, TaskResult]:
-        """Fan misses across the pool; returns results keyed by task index."""
-        cache_dir = str(self.cache_dir) if self.cache_dir is not None else None
-        out: dict[int, TaskResult] = {}
+    def _run_parallel(self, misses: list[TaskResult]) -> None:
+        """Fan misses across the pool, filling each task in place."""
         w = obs.current()
-        collect_spans = w is not None
         with obs.span("sweep.batch", jobs=self.jobs, tasks=len(misses)):
             batch_t0 = (
                 time.perf_counter() - w.tracer.epoch if w is not None else 0.0
             )
             with ProcessPoolExecutor(
                 max_workers=min(self.jobs, len(misses)),
-                initializer=_worker_init,
+                initializer=import_scenario_modules,
                 initargs=(self.scenario_modules,),
             ) as pool:
                 futures = [
-                    (idx, scenario, key, pool.submit(
-                        _execute_scenario, scenario.name, self.base_seed,
-                        cache_dir, collect_spans,
+                    (task, pool.submit(
+                        _execute_in_worker, task.name, task.params, task.seed,
+                        self.cache_dir, w is not None,
                     ))
-                    for idx, scenario, key in misses
+                    for task in misses
                 ]
                 # Collect in submission order: deterministic output
                 # independent of completion order.
-                for idx, scenario, key, future in futures:
-                    seed = scenario.derive_seed(self.base_seed)
+                for task, future in futures:
                     try:
                         payload = future.result()
-                        task = TaskResult(
-                            name=scenario.name, params=dict(scenario.params),
-                            seed=seed, key=key, cached=False,
-                            wall_s=payload["wall_s"],
-                            result=payload["result"],
-                        )
-                        if w is not None and payload.get("spans"):
-                            # Graft the worker's span tree into the parent
-                            # trace, re-rooted under a per-scenario prefix
-                            # and shifted to the batch's start time.
-                            w.tracer.import_spans(
-                                payload["spans"],
-                                prefix=f"sweep.worker/{scenario.name}",
-                                offset=batch_t0,
-                            )
                     except Exception as exc:  # noqa: BLE001
-                        task = TaskResult(
-                            name=scenario.name, params=dict(scenario.params),
-                            seed=seed, key=key, cached=False, wall_s=0.0,
-                            error=f"{type(exc).__name__}: {exc}",
+                        task.error = f"{type(exc).__name__}: {exc}"
+                        continue
+                    task.wall_s = payload["wall_s"]
+                    task.result = payload["result"]
+                    if w is not None and payload.get("spans"):
+                        # Graft the worker's span tree into the parent
+                        # trace, re-rooted under a per-scenario prefix
+                        # and shifted to the batch's start time.
+                        w.tracer.import_spans(
+                            payload["spans"],
+                            prefix=f"sweep.worker/{task.name}",
+                            offset=batch_t0,
                         )
-                    out[idx] = task
-        return out
 
     # -- public API --------------------------------------------------------------
 
     def run(self, scenarios: Sequence[Scenario]) -> SweepResult:
         """Execute ``scenarios`` (in order); returns the ordered results."""
         t_start = time.perf_counter()
-        keys = [
-            cache_key(s.name, s.params, version=s.version) for s in scenarios
-        ]
-        tasks: list[TaskResult | None] = [None] * len(scenarios)
-        misses: list[tuple[int, Scenario, str]] = []
-        for idx, (scenario, key) in enumerate(zip(scenarios, keys)):
-            hit = self._lookup(scenario, key)
-            if hit is not None:
-                tasks[idx] = hit
+        tasks: list[TaskResult] = []
+        misses: list[tuple[TaskResult, Scenario]] = []
+        for scenario in scenarios:
+            params, seed, key = run_identity(scenario, base_seed=self.base_seed)
+            task = TaskResult(name=scenario.name, params=params, seed=seed,
+                              key=key, cached=False, wall_s=0.0)
+            tasks.append(task)
+            t0 = time.perf_counter()
+            doc = self.cache.get(key) if self.use_cache else None
+            if doc is not None:
+                task.cached, task.result = True, doc["result"]
+                task.wall_s = time.perf_counter() - t0
                 obs.counter("sweep.cache.hits").inc()
             else:
-                misses.append((idx, scenario, key))
+                misses.append((task, scenario))
                 obs.counter("sweep.cache.misses").inc()
 
         if misses:
-            for req in sorted({r for _, s, _ in misses for r in s.requires}):
-                _warm_requirement(req, self.cache_dir)
+            for req in sorted({r for _, s in misses for r in s.requires}):
+                warm_requirement(req, self.cache_dir)
             if self.jobs > 1 and len(misses) > 1:
-                fresh = self._run_parallel(misses)
+                self._run_parallel([task for task, _ in misses])
             else:
-                fresh = {
-                    idx: self._run_serial(scenario, key)
-                    for idx, scenario, key in misses
-                }
-            for idx, scenario, key in misses:
-                task = fresh[idx]
-                tasks[idx] = task
-                self._store(scenario, key, task)
+                for task, scenario in misses:
+                    self._run_serial(task, scenario)
+            for task, _ in misses:
+                # parent-only writes: workers never touch the cache
+                if self.use_cache and task.ok:
+                    self.cache.put(task.key, cache_record(
+                        task.name, task.params, task.seed, task.result
+                    ))
 
-        done: list[TaskResult] = [t for t in tasks if t is not None]
-        for task in done:
+        for task in tasks:
             obs.counter("sweep.tasks", scenario=task.name).inc()
             obs.histogram("sweep.task_seconds").observe(task.wall_s)
             if not task.ok:
                 obs.counter("sweep.errors", scenario=task.name).inc()
         return SweepResult(
-            tasks=done,
+            tasks=tasks,
             jobs=self.jobs,
             base_seed=self.base_seed,
             total_wall_s=time.perf_counter() - t_start,
@@ -402,7 +319,7 @@ def run_sweep(
     selects scenarios, and executes them through a :class:`SweepRunner`.
     This is the function behind ``python -m repro sweep``.
     """
-    _import_scenario_modules(scenario_modules)
+    import_scenario_modules(scenario_modules)
     scenarios = filter_scenarios(pattern, tags)
     runner = SweepRunner(
         jobs,

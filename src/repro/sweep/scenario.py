@@ -10,6 +10,11 @@ seed derivation) and a uniform ``run(ctx) -> result`` entrypoint where
 (:mod:`repro.sweep.runner`) can fan scenarios across processes and cache
 their results content-addressed (:mod:`repro.sweep.cache`).
 
+Every front end — ``repro run``, the sweep engine and the scenario
+server — runs a scenario through the same two functions:
+:func:`run_identity` (merged params, derived seed and cache key) and
+:func:`execute_scenario` (context, modeled partition time, ``jsonify``).
+
 A process-local registry maps names to scenario objects; the built-in
 set (every experiment, ablation and chaos configuration) is populated by
 importing :mod:`repro.sweep.builtin`.
@@ -18,11 +23,15 @@ importing :mod:`repro.sweep.builtin`.
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 from dataclasses import dataclass, field
 from fnmatch import fnmatch
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
+
+from repro.partitioners import deterministic_partition_time
+from repro.sweep.cache import code_salt
 
 __all__ = [
     "Scenario",
@@ -30,7 +39,11 @@ __all__ = [
     "ScenarioContext",
     "canonical_params",
     "derive_seed",
+    "execute_scenario",
+    "import_scenario_modules",
     "jsonify",
+    "run_identity",
+    "warm_requirement",
     "register",
     "unregister",
     "get_scenario",
@@ -50,15 +63,9 @@ def canonical_params(params: dict[str, Any]) -> str:
 
 
 def derive_seed(name: str, params: dict[str, Any], base_seed: int = 0) -> int:
-    """Deterministic 32-bit seed from a scenario identity.
-
-    Hashes ``name`` + canonicalized ``params`` + ``base_seed`` through
-    SHA-256, so every (scenario, base seed) pair gets a stable,
-    well-separated seed regardless of parameter insertion order.
-    """
-    payload = f"{name}\n{canonical_params(params)}\n{base_seed}"
-    digest = hashlib.sha256(payload.encode()).digest()
-    return int.from_bytes(digest[:4], "big")
+    """Deterministic 32-bit seed of scenario ``name`` run with ``params``
+    (see :func:`run_identity`)."""
+    return run_identity(Scenario(name, params), base_seed=base_seed)[1]
 
 
 def _np_default(obj: Any) -> Any:
@@ -91,7 +98,7 @@ def jsonify(result: Any) -> Any:
 class ScenarioContext:
     """Everything a scenario run may depend on besides its parameters.
 
-    ``seed`` is the scenario's derived seed (see :func:`derive_seed`);
+    ``seed`` is the run's derived seed (see :func:`run_identity`);
     scenarios with a paper-pinned seed in ``params`` are free to ignore
     it.  ``cache_dir`` points at the shared input cache (reference
     traces); ``trace`` loads the shared RM3D traces through it.
@@ -115,6 +122,19 @@ class ScenarioContext:
 
 #: per-process memo of shared traces: (spec, cache_dir) -> trace
 _TRACE_MEMO: dict[tuple[str, str], Any] = {}
+
+
+def warm_requirement(req: str, cache_dir: Path | None) -> None:
+    """Materialize one shared input (e.g. ``"trace:small"``) ahead of runs.
+
+    The sweep warms in the parent so N workers do not all generate the
+    same multi-second input, the server once per batch; unknown
+    requirement kinds are ignored (a scenario may declare inputs only it
+    knows how to build).
+    """
+    kind, _, arg = req.partition(":")
+    if kind == "trace" and arg:
+        shared_trace(arg, cache_dir)
 
 
 def shared_trace(spec: str, cache_dir: Path | None = None):
@@ -182,20 +202,6 @@ class Scenario:
         """Human-readable text for a result (JSON dump by default)."""
         return json.dumps(result, indent=2, sort_keys=True)
 
-    def derive_seed(self, base_seed: int = 0) -> int:
-        """This scenario's deterministic seed for ``base_seed``."""
-        return derive_seed(self.name, self.params, base_seed)
-
-    def make_context(
-        self, base_seed: int = 0, cache_dir: Path | None = None
-    ) -> ScenarioContext:
-        """A fresh :class:`ScenarioContext` for one run of this scenario."""
-        return ScenarioContext(
-            params=dict(self.params),
-            seed=self.derive_seed(base_seed),
-            cache_dir=cache_dir,
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.name!r}, {self.params!r})"
 
@@ -230,6 +236,62 @@ class FunctionScenario(Scenario):
         if self._render_fn is None:
             return super().render(result)
         return self._render_fn(result)
+
+
+# -- the executor --------------------------------------------------------------
+
+
+def run_identity(
+    scenario: Scenario,
+    overrides: dict[str, Any] | None = None,
+    base_seed: int = 0,
+) -> tuple[dict[str, Any], int, str]:
+    """A run's ``(params, seed, key)``: the one place a run is identified.
+
+    ``params`` is ``scenario.params`` updated with ``overrides`` (a fresh
+    dict).  ``seed`` is the first 4 bytes of the SHA-256 of name,
+    canonical params and ``base_seed``, so every (scenario, params, base
+    seed) gets a stable, well-separated seed regardless of insertion
+    order.  ``key`` is the SHA-256 of the code salt
+    (:func:`~repro.sweep.cache.code_salt`), ``scenario.version``, name,
+    canonical params and the derived seed: two runs share a result-cache
+    entry exactly when they compute the same thing.
+    """
+    params = {**scenario.params, **(overrides or {})}
+    canonical = canonical_params(params)
+    digest = hashlib.sha256(
+        f"{scenario.name}\n{canonical}\n{base_seed}".encode()
+    ).digest()
+    seed = int.from_bytes(digest[:4], "big")
+    key = hashlib.sha256("\n".join([
+        "repro-sweep", code_salt(), scenario.version, scenario.name,
+        canonical, str(seed),
+    ]).encode()).hexdigest()
+    return params, seed, key
+
+
+def execute_scenario(
+    scenario: Scenario,
+    params: dict[str, Any],
+    seed: int,
+    cache_dir: Path | None = None,
+) -> Any:
+    """Run ``scenario`` once with the identity from :func:`run_identity`;
+    returns its result as plain JSON data (:func:`jsonify`).
+
+    The run is scoped by :func:`~repro.partitioners.
+    deterministic_partition_time`, so partition time is modeled whatever
+    the caller's thread had set, and the setting is restored on exit.
+    """
+    ctx = ScenarioContext(params=dict(params), seed=seed, cache_dir=cache_dir)
+    with deterministic_partition_time():
+        return jsonify(scenario.run(ctx))
+
+
+def import_scenario_modules(modules: Sequence[str]) -> None:
+    """Import the modules that populate the scenario registry."""
+    for module in modules:
+        importlib.import_module(module)
 
 
 # -- registry ------------------------------------------------------------------

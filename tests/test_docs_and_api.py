@@ -50,4 +50,4 @@ def test_public_classes_have_documented_methods():
 
 
 def test_version_exposed():
-    assert repro.__version__ == "4.0.0"
+    assert repro.__version__ == "5.0.0"

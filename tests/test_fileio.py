@@ -15,7 +15,7 @@ import pytest
 
 from repro.amr.trace import AdaptationTrace
 from repro.resilience import DurableCheckpointStore
-from repro.sweep import ResultCache, cache_key
+from repro.sweep import ResultCache, Scenario, run_identity
 from repro.util.fileio import read_record, write_file, write_record
 
 CRASHED = 17
@@ -114,7 +114,7 @@ POINTS = ["fsync", "rename", "dir-fsync"]
 @pytest.mark.parametrize("point", POINTS)
 def test_result_record_survives_crash(tmp_path, point):
     cache = ResultCache(tmp_path)
-    key = cache_key("t", {"a": 1})
+    key = run_identity(Scenario("t", {"a": 1}))[2]
     cache.put(key, {"result": "old"})
     _crash_during(lambda: cache.put(key, {"result": "new"}), point)
     want = "new" if point == "dir-fsync" else "old"

@@ -192,6 +192,26 @@ class TestScenarioServer:
             assert stats["cache_hits"] == 1
         assert len(_EXEC_LOG) == 1
 
+    def test_base_seed_is_part_of_the_cache_identity(self, tmp_path):
+        """A server under another base seed on the same cache dir runs
+        the scenario again instead of serving the first seed's result."""
+        with make_server(workers=1, cache_dir=str(tmp_path)) as server:
+            first = server.submit("srv-quick", {"x": 4})
+            assert first.result(timeout=10)["seed"] == first._job.seed
+        with make_server(workers=1, cache_dir=str(tmp_path),
+                         base_seed=7) as server:
+            second = server.submit("srv-quick", {"x": 4})
+            assert second.result(timeout=10) == {
+                "square": 16, "seed": second._job.seed,
+            }
+            assert second.record()["cached"] is False
+            assert second._job.seed != first._job.seed
+            assert server.drain(timeout=10)
+            counters = server.stats()["counters"]
+            assert counters["executions"] == 1
+            assert "cache_hits" not in counters
+        assert len(_EXEC_LOG) == 2
+
     def test_pending_requests_coalesce(self):
         server = make_server(workers=1, start=False)
         h1 = server.submit("srv-quick", {"x": 5})
@@ -682,8 +702,9 @@ class TestConcurrentScenarios:
         ``obs.collect()`` window; two workers running them at once must
         not see each other's windows, so every served result equals the
         same scenario run serially in-process."""
-        from repro.partitioners import deterministic_partition_time
-        from repro.sweep.scenario import get_scenario, jsonify
+        from repro.sweep.scenario import (
+            execute_scenario, get_scenario, run_identity,
+        )
 
         server = make_server(workers=2, max_batch=1, start=False,
                              scenario_modules=("repro.sweep.builtin",))
@@ -693,8 +714,8 @@ class TestConcurrentScenarios:
             served = [h.result(timeout=60) for h in handles]
         for name, result in zip(self.CHAOS, served):
             scenario = get_scenario(name)
-            with deterministic_partition_time():
-                serial = jsonify(scenario.run(scenario.make_context()))
+            params, seed, _ = run_identity(scenario)
+            serial = execute_scenario(scenario, params, seed)
             assert json.dumps(result, sort_keys=True) == json.dumps(
                 serial, sort_keys=True
             ), name

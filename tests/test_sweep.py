@@ -13,8 +13,8 @@ import pytest
 from repro.sweep import (
     FunctionScenario,
     ResultCache,
+    Scenario,
     SweepRunner,
-    cache_key,
     canonical_params,
     code_salt,
     derive_seed,
@@ -22,10 +22,17 @@ from repro.sweep import (
     get_scenario,
     jsonify,
     register,
+    run_identity,
     run_sweep,
     unregister,
 )
 from repro.util.fileio import write_file
+
+
+def _key(name="t", params=None, **kwargs):
+    """The cache key of ``name`` run with ``params`` (default ``{"a": 1}``)."""
+    scenario = Scenario(name, {"a": 1} if params is None else params)
+    return run_identity(scenario, **kwargs)[2]
 
 
 class TestScenarioIdentity:
@@ -88,21 +95,29 @@ class TestRegistry:
 
 class TestCacheKey:
     def test_stable_across_param_ordering(self):
-        k1 = cache_key("t", {"a": 1, "b": 2})
-        k2 = cache_key("t", {"b": 2, "a": 1})
+        k1 = _key(params={"a": 1, "b": 2})
+        k2 = _key(params={"b": 2, "a": 1})
         assert k1 == k2
+        # an override equal to the default is the same run
+        scenario = Scenario("t", {"a": 1, "b": 2})
+        assert run_identity(scenario, {"b": 2})[2] == k1
 
     def test_invalidated_on_version_change(self):
-        base = cache_key("t", {"a": 1})
-        assert cache_key("t", {"a": 1}, version="2") != base
+        base = _key()
+        bumped = Scenario("t", {"a": 1}, version="2")
+        assert run_identity(bumped)[2] != base
 
-    def test_invalidated_on_salt_change(self):
-        base = cache_key("t", {"a": 1})
-        assert cache_key("t", {"a": 1}, salt="other") != base
+    def test_invalidated_on_salt_change(self, monkeypatch):
+        from repro.sweep import scenario as scenario_mod
+
+        base = _key()
+        monkeypatch.setattr(scenario_mod, "code_salt", lambda: "other")
+        assert _key() != base
 
     def test_separated_by_name_and_params(self):
-        assert cache_key("t", {"a": 1}) != cache_key("u", {"a": 1})
-        assert cache_key("t", {"a": 1}) != cache_key("t", {"a": 2})
+        assert _key("t") != _key("u")
+        assert _key(params={"a": 1}) != _key(params={"a": 2})
+        assert _key(base_seed=0) != _key(base_seed=7)
 
     def test_salt_is_computed_once_and_in_no_signature(self):
         import inspect
@@ -111,7 +126,7 @@ class TestCacheKey:
 
         assert code_salt() is code_salt()
         assert code_salt().endswith(f":numpy-{np.__version__}")
-        assert code_salt() not in str(inspect.signature(cache_key))
+        assert code_salt() not in str(inspect.signature(run_identity))
 
     def test_editing_any_module_changes_the_key(self, tmp_path):
         """The salt hashes the package source: fresh interpreters on a
@@ -122,24 +137,24 @@ class TestCacheKey:
         shutil.copytree(Path(repro.__file__).parent, tree / "repro",
                         ignore=shutil.ignore_patterns("__pycache__"))
         env = {**os.environ, "PYTHONPATH": str(tree)}
-        probe = ("from repro.sweep.cache import cache_key; "
-                 "print(cache_key('t', {'a': 1}))")
+        probe = ("from repro.sweep import Scenario, run_identity; "
+                 "print(run_identity(Scenario('t', {'a': 1}))[2])")
 
         def key():
             out = subprocess.run([sys.executable, "-c", probe], env=env,
                                  capture_output=True, text=True, check=True)
             return out.stdout.strip()
 
-        assert key() == key() == cache_key("t", {"a": 1})
+        assert key() == key() == _key()
         with open(tree / "repro" / "gridsys" / "link.py", "a") as fh:
             fh.write("# edited\n")
-        assert key() != cache_key("t", {"a": 1})
+        assert key() != _key()
 
 
 class TestResultCache:
     def test_put_get_roundtrip(self, tmp_path):
         cache = ResultCache(tmp_path)
-        key = cache_key("t", {"a": 1})
+        key = _key()
         assert cache.get(key) is None
         cache.put(key, {"result": [1, 2, 3]})
         assert cache.get(key) == {"result": [1, 2, 3]}
@@ -148,7 +163,7 @@ class TestResultCache:
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
-        key = cache_key("t", {"a": 1})
+        key = _key()
         cache.put(key, {"x": 1})
         cache.path_for(key).write_text("{not json")
         assert cache.get(key) is None
@@ -162,7 +177,7 @@ class TestResultCache:
 
     def test_bitflip_that_still_parses_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
-        key = cache_key("t", {"a": 1})
+        key = _key()
         path = cache.put(key, {"result": 1})
         blob = path.read_bytes()
         idx = blob.rindex(b"1")
@@ -173,7 +188,7 @@ class TestResultCache:
 
     def test_torn_and_unframed_entries_are_misses(self, tmp_path):
         cache = ResultCache(tmp_path)
-        key = cache_key("t", {"a": 1})
+        key = _key()
         path = cache.put(key, {"result": list(range(100))})
         path.write_bytes(path.read_bytes()[:-10])
         assert cache.get(key) is None
@@ -182,7 +197,7 @@ class TestResultCache:
 
     def test_record_header_carries_the_salt(self, tmp_path):
         cache = ResultCache(tmp_path)
-        path = cache.put(cache_key("t", {"a": 1}), {"result": 1})
+        path = cache.put(_key(), {"result": 1})
         header = json.loads(path.read_bytes().partition(b"\n")[0])
         assert header["salt"] == code_salt()
 
@@ -191,7 +206,7 @@ class TestResultCache:
         first put of a later cache; an unframed file is left alone."""
         from repro.sweep import cache as cache_mod
 
-        old_key = cache_key("t", {"a": 1})
+        old_key = _key()
         stale = ResultCache(tmp_path).put(old_key, {"result": 1})
         unframed = tmp_path / "unframed.json"
         unframed.write_text(json.dumps({"result": 2}))
@@ -200,7 +215,7 @@ class TestResultCache:
         try:
             assert code_salt().endswith(":numpy-0.0-other")
             cache = ResultCache(tmp_path)
-            new_key = cache_key("t", {"a": 1})
+            new_key = _key()
             assert new_key != old_key
             cache.put(new_key, {"result": 3})
             assert not stale.exists()
@@ -214,7 +229,7 @@ class TestResultCache:
         """Threads of one process writing the same key each get their
         own temp file: no writer fails, none publishes a partial file."""
         cache = ResultCache(tmp_path)
-        key = cache_key("t", {"a": 1})
+        key = _key()
         docs = [{"writer": i, "result": list(range(2000))} for i in range(8)]
         barrier = threading.Barrier(len(docs), timeout=10)
         errors = []
@@ -244,7 +259,7 @@ class TestSweepRunner:
 
     def test_serial_run_and_cache_hit(self, tmp_path):
         s = self._cheap("t-serial")
-        runner = SweepRunner(cache=ResultCache(tmp_path))
+        runner = SweepRunner(cache_dir=tmp_path)
         cold = runner.run([s])
         assert cold.ok and cold.cache_misses == 1 and cold.cache_hits == 0
         warm = runner.run([s])
@@ -253,7 +268,7 @@ class TestSweepRunner:
 
     def test_no_cache_always_executes(self, tmp_path):
         s = self._cheap("t-nocache")
-        runner = SweepRunner(cache=ResultCache(tmp_path), use_cache=False)
+        runner = SweepRunner(cache_dir=tmp_path, use_cache=False)
         assert runner.run([s]).cache_misses == 1
         assert runner.run([s]).cache_misses == 1
         assert not list(tmp_path.iterdir())
@@ -264,25 +279,29 @@ class TestSweepRunner:
 
         bad = FunctionScenario("t-bad", boom)
         good = self._cheap("t-good")
-        result = SweepRunner(cache=ResultCache(tmp_path)).run([bad, good])
+        result = SweepRunner(cache_dir=tmp_path).run([bad, good])
         assert not result.ok
         assert [t.ok for t in result.tasks] == [False, True]
         assert "boom" in result.tasks[0].error
         # failures are never cached
-        rerun = SweepRunner(cache=ResultCache(tmp_path)).run([bad, good])
+        rerun = SweepRunner(cache_dir=tmp_path).run([bad, good])
         assert not rerun.tasks[0].cached and rerun.tasks[1].cached
 
     def test_base_seed_changes_derived_seeds(self, tmp_path):
+        """Two base seeds on one cache dir: the second sweep must run,
+        not serve the first one's result under its own seed."""
         s = self._cheap("t-seed")
-        r0 = SweepRunner(cache=ResultCache(tmp_path / "a")).run([s])
-        r1 = SweepRunner(cache=ResultCache(tmp_path / "b"),
-                         base_seed=7).run([s])
+        r0 = SweepRunner(cache_dir=tmp_path).run([s])
+        r1 = SweepRunner(cache_dir=tmp_path, base_seed=7).run([s])
         assert r0.tasks[0].seed != r1.tasks[0].seed
         assert r0.tasks[0].result["seed"] == r0.tasks[0].seed
+        task = r1.tasks[0]
+        assert not task.cached and r1.cache_misses == 1
+        assert task.result["seed"] == task.seed
 
     def test_to_dict_bench_shape(self, tmp_path):
         s = self._cheap("t-shape")
-        doc = SweepRunner(cache=ResultCache(tmp_path)).run([s]).to_dict()
+        doc = SweepRunner(cache_dir=tmp_path).run([s]).to_dict()
         assert doc["bench"] == "sweep"
         assert set(doc["cache"]) == {"dir", "enabled", "hits", "misses"}
         json.dumps(doc)
