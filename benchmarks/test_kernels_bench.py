@@ -4,7 +4,8 @@ Times every partitioning kernel against its frozen scalar oracle under
 ``tests/reference/`` on seeded synthetic inputs, asserts the pay-off the
 vector kernels promised (sequence partitioning >= 3x at 1e5 units; the
 fragment count, the refined mask, cut scoring and the RM3D-shaped load
-map >= 3x on the reference lattice), and writes the machine-readable
+map >= 3x on the reference lattice; the pBD-ISP dissection of a
+reference-shaped cube >= 1x), and writes the machine-readable
 snapshot the ``python -m repro benchdiff``
 CI gate compares against.  ``wall_scalar_s`` is the oracle's time and
 ``wall_vector_s`` the in-tree kernel's; wall-clock and speedup entries
@@ -73,6 +74,12 @@ MIN_METRIC_SPEEDUP = 3.0
 #: (patch count, extent spread in the level's own cells) of each refined
 #: level of the RM3D-shaped load-map hierarchy
 RM3D_LEVELS = ((100, 16), (130, 30), (110, 48))
+
+#: refined blobs in the reference-shaped pBD cube, and the acceptance
+#: floor of its dissection against the oracle's (it read 1.39-1.54x over
+#: ten runs on a 2-core host; the floor sits over 25% below the slowest)
+PBD_BLOBS = 12
+MIN_PBD_SPEEDUP = 1.0
 
 
 def _digest(values: np.ndarray) -> str:
@@ -150,6 +157,29 @@ def _rm3d_like_hierarchy(rng: np.random.Generator) -> GridHierarchy:
             ))
         ]))
     return GridHierarchy(domain=domain, levels=levels)
+
+
+def _rm3d_like_cube() -> np.ndarray:
+    """A load cube on the reference lattice, shaped like an RM3D snapshot's:
+    unit load everywhere, and ``PBD_BLOBS`` refined blobs whose cells carry
+    the composite load of one to three ratio-2 levels (``2**4`` per level)
+    over a random per-blob load.  Drawn from its own seeded generator, so
+    it leaves the other kernels' inputs as they were."""
+    rng = np.random.default_rng(SEED)
+    cube = np.ones(METRIC_SHAPE)
+    shape = np.asarray(METRIC_SHAPE)
+    x, y, z = np.indices(METRIC_SHAPE)
+    for _ in range(PBD_BLOBS):
+        center = rng.random(3) * shape
+        radius = 2.0 + rng.random(3) * shape / 6
+        depth = 1 + int(rng.random() * 3)
+        inside = (
+            ((x - center[0]) / radius[0]) ** 2
+            + ((y - center[1]) / radius[1]) ** 2
+            + ((z - center[2]) / radius[2]) ** 2
+        ) <= 1.0
+        cube[inside] += (1.0 + rng.random()) * 16.0**depth
+    return cube
 
 
 def _metric_kernels(
@@ -261,11 +291,16 @@ def test_kernels_bench_snapshot(reference):
         )
 
     cube = rng.random(PBD_SHAPE)
+    ref128 = _rm3d_like_cube()
     kernels["pbd"] = {
         "cube32": _pair(
             lambda: ref_pbd.pbd_partition_cube(cube, PROCS),
             lambda: pbd_partition_cube(cube, PROCS),
-        )
+        ),
+        "ref128": _pair(
+            lambda: ref_pbd.pbd_partition_cube(ref128, PROCS),
+            lambda: pbd_partition_cube(ref128, PROCS),
+        ),
     }
     kernels["workload"] = {
         name: _pair(
@@ -304,6 +339,7 @@ def test_kernels_bench_snapshot(reference):
             "refined_mask_speedup":
                 kernels["refined_mask"]["ref128"]["speedup"],
             "load_map_speedup": kernels["load_map"]["rm3d"]["speedup"],
+            "pbd_ref128_speedup": kernels["pbd"]["ref128"]["speedup"],
             "all_match": all(
                 entry["match"]
                 for kern in kernels.values()
@@ -329,5 +365,9 @@ def test_kernels_bench_snapshot(reference):
         assert speedup >= MIN_METRIC_SPEEDUP, (
             f"{name} kernel only {speedup:.1f}x over its oracle"
         )
+
+    assert gate["pbd_ref128_speedup"] >= MIN_PBD_SPEEDUP, (
+        f"pBD dissection only {gate['pbd_ref128_speedup']:.2f}x over its oracle"
+    )
 
     SNAPSHOT_PATH.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.amr.grid import Patch
-from repro.amr.hierarchy import GridHierarchy
+from repro.amr.hierarchy import GridHierarchy, mark_footprints
 
 __all__ = ["HierarchyDiff", "diff_hierarchies", "patch_signature"]
 
@@ -65,51 +65,21 @@ class HierarchyDiff:
         return float(np.count_nonzero(self.dirty_mask)) / self.dirty_mask.size
 
 
-def _mark(mask: np.ndarray, hierarchy: GridHierarchy, patch: Patch) -> None:
-    """Set the base-space footprint of ``patch`` in ``mask``.
-
-    Inlined coarsen + clip arithmetic (``Box.coarsen().intersection()``
-    without the intermediate objects): diffing runs at every regrid
-    interval over every changed patch, and box construction dominated
-    its profile.
-    """
-    ratio = hierarchy.cumulative_ratio(patch.level)
-    dlo = hierarchy.domain.lo
-    dhi = hierarchy.domain.hi
-    plo = patch.box.lo
-    phi = patch.box.hi
-    lo = [0, 0, 0]
-    hi = [0, 0, 0]
-    for a in range(3):
-        lo[a] = max(plo[a] // ratio, dlo[a])
-        hi[a] = min(-(-phi[a] // ratio), dhi[a])
-        if lo[a] >= hi[a]:
-            return
-    mask[
-        lo[0] - dlo[0]:hi[0] - dlo[0],
-        lo[1] - dlo[1]:hi[1] - dlo[1],
-        lo[2] - dlo[2]:hi[2] - dlo[2],
-    ] = True
-
-
-def _common_subsequence_ok(
-    old_sigs: list[tuple], new_sigs: list[tuple]
-) -> bool:
-    """True if surviving patches keep their relative order on both sides."""
-    common = Counter(old_sigs) & Counter(new_sigs)
-    remaining = Counter(common)
-    old_filtered = []
-    for s in old_sigs:
-        if remaining[s] > 0:
+def _survivors(
+    sigs: list[tuple], common: Counter
+) -> tuple[list[tuple], list[int]]:
+    """Split one side's signatures into the patches present on both sides
+    (their signatures, in order) and the rows of the rest."""
+    remaining = dict(common)
+    kept: list[tuple] = []
+    rows: list[int] = []
+    for k, s in enumerate(sigs):
+        if remaining.get(s, 0) > 0:
             remaining[s] -= 1
-            old_filtered.append(s)
-    remaining = Counter(common)
-    new_filtered = []
-    for s in new_sigs:
-        if remaining[s] > 0:
-            remaining[s] -= 1
-            new_filtered.append(s)
-    return old_filtered == new_filtered
+            kept.append(s)
+        else:
+            rows.append(k)
+    return kept, rows
 
 
 def diff_hierarchies(
@@ -146,9 +116,8 @@ def diff_hierarchies(
     for h in (old, new):
         for lvl in h.levels[n_common:]:
             dirty_levels.append(lvl.index)
-            for p in lvl:
-                _mark(mask, h, p)
-                changed += 1
+            mark_footprints(mask, *h.footprints(lvl.index))
+            changed += len(lvl)
 
     for idx in range(n_common):
         old_lvl = old.levels[idx]
@@ -158,27 +127,24 @@ def diff_hierarchies(
         if old_sigs == new_sigs:
             unchanged += len(new_sigs)
             continue
-        if not _common_subsequence_ok(old_sigs, new_sigs):
+        common = Counter(old_sigs) & Counter(new_sigs)
+        old_kept, old_rows = _survivors(old_sigs, common)
+        new_kept, new_rows = _survivors(new_sigs, common)
+        if old_kept != new_kept:
             # Surviving patches were reordered: accumulation order — part
             # of the bit-identity contract — would change, so invalidate
             # the whole level.
             dirty_levels.append(idx)
-            for p in old_lvl:
-                _mark(mask, old, p)
-            for p in new_lvl:
-                _mark(mask, new, p)
+            mark_footprints(mask, *old.footprints(idx))
+            mark_footprints(mask, *new.footprints(idx))
             changed += len(old_sigs) + len(new_sigs)
             continue
-        common = Counter(old_sigs) & Counter(new_sigs)
-        unchanged += sum(common.values())
-        for h, lvl, sigs in ((old, old_lvl, old_sigs), (new, new_lvl, new_sigs)):
-            remaining = Counter(common)
-            for p, s in zip(lvl, sigs):
-                if remaining[s] > 0:
-                    remaining[s] -= 1
-                else:
-                    _mark(mask, h, p)
-                    changed += 1
+        unchanged += len(old_kept)
+        for h, rows in ((old, old_rows), (new, new_rows)):
+            if rows:
+                lo, hi = h.footprints(idx)
+                mark_footprints(mask, lo[rows], hi[rows])
+                changed += len(rows)
 
     identical = changed == 0 and old.num_levels == new.num_levels
     return HierarchyDiff(

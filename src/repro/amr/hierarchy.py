@@ -10,7 +10,14 @@ import numpy as np
 from repro.amr.box import Box
 from repro.amr.grid import Level, Patch
 
-__all__ = ["GridHierarchy"]
+__all__ = ["GridHierarchy", "mark_footprints"]
+
+
+def mark_footprints(mask: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+    """Set ``mask[lo[k]:hi[k]]`` for every row ``k`` of
+    :meth:`GridHierarchy.footprints`."""
+    for (x0, y0, z0), (x1, y1, z1) in zip(lo.tolist(), hi.tolist()):
+        mask[x0:x1, y0:y1, z0:z1] = True
 
 
 @dataclass(slots=True)
@@ -146,6 +153,25 @@ class GridHierarchy:
         uniform_rms = float(np.sqrt((shape**2).sum() / 12.0))
         return min(rms / uniform_rms, 1.0) if uniform_rms > 0 else 0.0
 
+    def footprints(self, level: int) -> tuple[np.ndarray, np.ndarray]:
+        """Base-space footprints of ``level``'s patches, as array indices.
+
+        Every patch box of the level is coarsened to the base index space
+        (floor/ceil divide by the cumulative ratio) and clipped to the
+        domain, all at once.  Returns ``(lo, hi)``: two ``(n, 3)`` int64
+        arrays in patch order, relative to ``domain.lo``, with
+        ``0 <= lo <= hi <= domain.shape``, so row ``k`` slices a
+        base-grid array at ``patch.box.coarsen(R).intersection(domain)``
+        and a footprint outside the domain is an empty slice.
+        """
+        ratio = self.cumulative_ratio(level)
+        arrays = self.levels[level].patch_arrays()
+        dlo = np.asarray(self.domain.lo, dtype=np.int64)
+        dhi = np.asarray(self.domain.hi, dtype=np.int64)
+        lo = np.clip(arrays.lo // ratio, dlo, dhi)
+        hi = np.clip(-(-arrays.hi // ratio), lo, dhi)
+        return lo - dlo, hi - dlo
+
     def refined_mask(self) -> np.ndarray:
         """Boolean base-grid mask of cells covered by any refined level.
 
@@ -154,22 +180,8 @@ class GridHierarchy:
         this mask.
         """
         mask = np.zeros(self.domain.shape, dtype=bool)
-        dlo = np.asarray(self.domain.lo)
-        dhi = np.asarray(self.domain.hi)
         for lvl in self.levels[1:]:
-            if not lvl.patches:
-                continue
-            ratio = self.cumulative_ratio(lvl.index)
-            arrays = lvl.patch_arrays()
-            # Coarsen every patch of the level to base space (floor/ceil)
-            # and clip it to the domain, all at once.
-            lo = arrays.lo // ratio
-            hi = -(-arrays.hi // ratio)
-            lo = np.maximum(lo, dlo) - dlo
-            # (>= 0: a negative stop would index from the far end)
-            hi = np.maximum(np.minimum(hi, dhi) - dlo, 0)
-            for (x0, y0, z0), (x1, y1, z1) in zip(lo.tolist(), hi.tolist()):
-                mask[x0:x1, y0:y1, z0:z1] = True
+            mark_footprints(mask, *self.footprints(lvl.index))
         return mask
 
     def comm_to_comp_ratio(self) -> float:

@@ -144,8 +144,6 @@ def update_composite_load_map(
         )
     values = old.values.copy()
     values[dirty_mask] = 0.0
-    dlo = np.asarray(domain.lo, dtype=np.int64)
-    dhi = np.asarray(domain.hi, dtype=np.int64)
     # Running count of dirty rows along each axis: a patch whose
     # footprint misses the dirty rows of any axis touches no dirty cell,
     # so every patch of a level is screened at once.
@@ -159,9 +157,7 @@ def update_composite_load_map(
             continue
         ratio = hierarchy.cumulative_ratio(lvl.index)
         arrays = lvl.patch_arrays()
-        # footprints coarsened and clipped to the domain, in map indices
-        clo = np.maximum(arrays.lo // ratio, dlo) - dlo
-        chi = np.maximum(np.minimum(-(-arrays.hi // ratio), dhi) - dlo, clo)
+        clo, chi = hierarchy.footprints(lvl.index)
         hit = np.ones(len(clo), dtype=bool)
         for axis, count in enumerate(rows):
             hit &= count[chi[:, axis]] > count[clo[:, axis]]
@@ -231,7 +227,6 @@ def _batched_values(hierarchy: GridHierarchy) -> np.ndarray:
     domain = hierarchy.domain
     _, ny, nz = domain.shape
     dlo = np.asarray(domain.lo, dtype=np.int64)
-    dhi = np.asarray(domain.hi, dtype=np.int64)
     values = np.zeros(domain.shape, dtype=float)
     flat = values.reshape(-1)
 
@@ -243,24 +238,21 @@ def _batched_values(hierarchy: GridHierarchy) -> np.ndarray:
         weight = arrays.load_per_cell * ratio
         flo = arrays.lo
         fhi = arrays.hi
-        # Coarsen to base space and clip to the domain in one step: the
-        # clipped coarse range is exactly the per-patch loop's
+        # The clipped coarse range is exactly the per-patch loop's
         # ``coarse.intersection(domain)`` block slice.
-        clo = np.maximum(flo // ratio, dlo)
-        chi = np.minimum(-(-fhi // ratio), dhi)
-        m = np.maximum(chi - clo, 0)
+        rlo, rhi = hierarchy.footprints(lvl.index)
+        m = rhi - rlo
         cells = m[:, 0] * m[:, 1] * m[:, 2]
         keep = cells > 0
         if not keep.any():
             continue
         if ratio == 1:
             for w, (x0, y0, z0), (x1, y1, z1) in zip(
-                weight[keep].tolist(),
-                (clo[keep] - dlo).tolist(),
-                (chi[keep] - dlo).tolist(),
+                weight[keep].tolist(), rlo[keep].tolist(), rhi[keep].tolist()
             ):
                 values[x0:x1, y0:y1, z0:z1] += w
             continue
+        clo = rlo + dlo
         weight, flo, fhi, clo, m, cells = (
             arr[keep] for arr in (weight, flo, fhi, clo, m, cells)
         )

@@ -22,8 +22,12 @@ from repro.partitioners.units import CompositeUnits
 __all__ = ["PBDISPPartitioner", "pbd_partition_cube"]
 
 
+#: the two axes each axis's load marginal sums over
+_OTHER = ((1, 2), (0, 2), (0, 1))
+
+
 def _choose_bisection_cut(
-    cube: np.ndarray, nprocs: int
+    cube: np.ndarray, nprocs: int, margins: list[np.ndarray | None]
 ) -> tuple[int, int, int] | None:
     """Best axis-aligned cut for splitting ``cube`` across ``nprocs``.
 
@@ -33,14 +37,20 @@ def _choose_bisection_cut(
     cut positions are clamped so each side keeps enough whole slices for
     its processor share (no processor can be starved of cells by a
     skewed load profile).
+
+    ``margins[axis]`` is the cube's load marginal along ``axis`` (its sum
+    over the other two axes) or ``None``; a missing marginal that a cut
+    needs is summed here and stored back.
     """
     p1 = nprocs // 2
     frac = p1 / nprocs
     ncells = cube.size
     total = float(cube.sum())
-    best: tuple[float, int, int] | None = None  # (error, axis, cut)
-    for axis in range(3):
-        length = cube.shape[axis]
+    target = frac * total
+    best_err = 0.0
+    best_axis = -1
+    best_cut = 0
+    for axis, length in enumerate(cube.shape):
         if length < 2:
             continue
         slab = ncells // length  # cells per whole slice of this axis
@@ -50,22 +60,31 @@ def _choose_bisection_cut(
             cmax = min(cmax, length - (-(-(nprocs - p1) // slab)))
             if cmin > cmax:
                 continue
-        other = tuple(a for a in range(3) if a != axis)
-        cums = np.cumsum(cube.sum(axis=other))
         if total <= 0:
             cut = min(max(int(round(length * frac)), cmin), cmax)
             err = 0.0
         else:
-            target = frac * total
-            idx = int(np.searchsorted(cums, target))
-            candidates = [c for c in (idx, idx + 1) if cmin <= c <= cmax]
-            if not candidates:
-                candidates = [min(max(idx, cmin), cmax)]
-            cut = min(candidates, key=lambda c: abs(float(cums[c - 1]) - target))
-            err = abs(float(cums[cut - 1]) - target)
-        if best is None or err < best[0]:
-            best = (err, axis, cut)
-    if best is None:
+            marginal = margins[axis]
+            if marginal is None:
+                marginal = margins[axis] = cube.sum(axis=_OTHER[axis])
+            cums = marginal.cumsum()
+            idx = int(cums.searchsorted(target))
+            # the nearer of cut points idx and idx + 1 (idx on a tie)
+            if cmin <= idx <= cmax:
+                cut = idx
+                err = abs(float(cums[idx - 1]) - target)
+                if idx < cmax:
+                    err_up = abs(float(cums[idx]) - target)
+                    if err_up < err:
+                        cut, err = idx + 1, err_up
+            else:
+                cut = idx + 1
+                if not cmin <= cut <= cmax:
+                    cut = min(max(idx, cmin), cmax)
+                err = abs(float(cums[cut - 1]) - target)
+        if best_axis < 0 or err < best_err:
+            best_err, best_axis, best_cut = err, axis, cut
+    if best_axis < 0:
         # Either a 1x1x1 cube, or the per-side slice windows closed on
         # every axis: halve the longest cuttable axis and split the
         # processor group in proportion to the cells on each side.
@@ -81,35 +100,49 @@ def _choose_bisection_cut(
             min(nprocs - 1, lo_cells),
         )
         return axis, cut, p1  # pragma: no cover
-    return best[1], best[2], p1
+    return best_axis, best_cut, p1
 
 
 def _bisect(
-    cube: np.ndarray, owners: np.ndarray, proc_lo: int, proc_hi: int
+    cube: np.ndarray,
+    owners: np.ndarray,
+    proc_lo: int,
+    proc_hi: int,
+    margins: list[np.ndarray | None],
 ) -> None:
-    """Recursive dissection over subcube views."""
+    """Recursive dissection over subcube views.
+
+    A child is a whole-slice range of its parent along the cut axis, so
+    its marginal on that axis is the matching slice of the parent's, with
+    the same bits; only the other two axes are summed again.
+    """
     nprocs = proc_hi - proc_lo
     if nprocs <= 1:
         owners[...] = proc_lo
         return
-    plan = _choose_bisection_cut(cube, nprocs)
+    plan = _choose_bisection_cut(cube, nprocs, margins)
     if plan is None:
         # No axis can be cut: give everything to the first subgroup.
         owners[...] = proc_lo
         return
     axis, cut, p1 = plan
-    sl_lo = [slice(None)] * 3
-    sl_hi = [slice(None)] * 3
-    sl_lo[axis] = slice(0, cut)
-    sl_hi[axis] = slice(cut, cube.shape[axis])
-    _bisect(cube[tuple(sl_lo)], owners[tuple(sl_lo)], proc_lo, proc_lo + p1)
-    _bisect(cube[tuple(sl_hi)], owners[tuple(sl_hi)], proc_lo + p1, proc_hi)
+    head = (slice(None),) * axis
+    lo = head + (slice(None, cut),)
+    hi = head + (slice(cut, None),)
+    marginal = margins[axis]
+    lo_margins: list[np.ndarray | None] = [None, None, None]
+    hi_margins: list[np.ndarray | None] = [None, None, None]
+    if marginal is not None:
+        lo_margins[axis] = marginal[:cut]
+        hi_margins[axis] = marginal[cut:]
+    _bisect(cube[lo], owners[lo], proc_lo, proc_lo + p1, lo_margins)
+    _bisect(cube[hi], owners[hi], proc_lo + p1, proc_hi, hi_margins)
 
 
 def pbd_partition_cube(cube: np.ndarray, num_procs: int) -> np.ndarray:
     """Owner cube of the p-way binary dissection."""
     owners = np.zeros(cube.shape, dtype=int)
-    _bisect(cube, owners, proc_lo=0, proc_hi=num_procs)
+    _bisect(cube, owners, 0, num_procs, [None, None, None])
     return owners
 
 

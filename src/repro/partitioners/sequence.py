@@ -20,6 +20,8 @@ outputs bit-for-bit (``tests/test_kernels.py``).
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
 __all__ = [
@@ -93,18 +95,24 @@ def greedy_sequence_partition(loads: np.ndarray, p: int) -> np.ndarray:
     return owners
 
 
-def _feasible(prefix: np.ndarray, p: int, bottleneck: float) -> np.ndarray | None:
+def _feasible(prefix: list[float], p: int, bottleneck: float) -> np.ndarray | None:
     """Greedy check: can the sequence split into <= p segments of sum <=
-    bottleneck?  Returns boundaries if yes else None."""
-    n = prefix.size - 1
+    bottleneck?  Returns boundaries if yes else None.
+
+    ``prefix`` is the float prefix-sum list; each probe is a
+    ``bisect_right`` on it, the same compares and adds as
+    ``np.searchsorted(prefix, limit, side="right")`` without a numpy call
+    per segment (the prefix is non-decreasing, so the search may start
+    at ``start``).
+    """
+    n = len(prefix) - 1
     boundaries = [0]
     start = 0
     for _ in range(p):
         if start == n:
             break
         # furthest end with prefix[end]-prefix[start] <= bottleneck
-        limit = prefix[start] + bottleneck
-        end = int(np.searchsorted(prefix, limit, side="right")) - 1
+        end = bisect_right(prefix, prefix[start] + bottleneck, start) - 1
         if end <= start:
             # single item exceeds bottleneck -> infeasible at this bottleneck
             return None
@@ -144,6 +152,7 @@ def optimal_sequence_partition(
 
     lo = max(loads.max(), total / p)
     hi = total
+    prefix = prefix.tolist()
     best = _feasible(prefix, p, hi)
     if best is None:  # pragma: no cover - hi == total is always feasible
         raise AssertionError("full-range bottleneck must be feasible")

@@ -35,6 +35,7 @@ VIII         scattered   low        comp
 from __future__ import annotations
 
 import enum
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,12 +148,38 @@ class OctantState:
     signals: AppSignals
 
 
+#: The last refined mask this thread built, with what it is a function
+#: of: the domain, and each refined level's ratio and patch arrays (held,
+#: so their ids stay unique; ``Level.add`` replaces a level's arrays).
+#: Consecutive regrids classify (t, t-1), then (t+1, t): the mask of
+#: snapshot t is built once and read again as the previous mask.  One
+#: mask is held per thread, never one per hierarchy.
+_held = threading.local()
+
+
+def _refined_mask(hierarchy: GridHierarchy) -> np.ndarray:
+    """``hierarchy.refined_mask()``, read-only, built at most once in a row."""
+    levels = hierarchy.levels[1:]
+    arrays = tuple(lvl.patch_arrays() for lvl in levels)
+    key = (
+        hierarchy.domain,
+        tuple(lvl.ratio for lvl in levels),
+        tuple(map(id, arrays)),
+    )
+    held = getattr(_held, "mask", None)
+    if held is not None and held[0] == key:
+        return held[2]
+    mask = hierarchy.refined_mask()
+    mask.setflags(write=False)
+    _held.mask = (key, arrays, mask)
+    return mask
+
+
 def _signals(
     hierarchy: GridHierarchy,
+    mask: np.ndarray,
     prev_mask: np.ndarray | None,
-    cur_mask: np.ndarray | None = None,
 ) -> AppSignals:
-    mask = hierarchy.refined_mask() if cur_mask is None else cur_mask
     if mask.any():
         labeled, n_comp = ndimage.label(mask)
         refined_fraction = float(mask.mean())
@@ -206,8 +233,9 @@ def classify_hierarchy(
     substitutes the forward difference for the first snapshot instead.
     """
     thresholds = thresholds or OctantThresholds()
-    prev_mask = previous.refined_mask() if previous is not None else None
-    sig = _signals(hierarchy, prev_mask)
+    # previous first: its mask is the one held from the last regrid
+    prev_mask = _refined_mask(previous) if previous is not None else None
+    sig = _signals(hierarchy, _refined_mask(hierarchy), prev_mask)
     axes = _axes_from_signals(sig, thresholds)
     return axes.octant(), sig
 
@@ -225,16 +253,16 @@ def classify_trace(
     thresholds = thresholds or OctantThresholds()
     if len(trace) == 0:
         return []
-    masks = [s.hierarchy.refined_mask() for s in trace]
     out: list[OctantState] = []
     for idx, snap in enumerate(trace):
         if idx > 0:
-            prev_mask = masks[idx - 1]
+            prev_mask = _refined_mask(trace[idx - 1].hierarchy)
         elif len(trace) > 1:
-            prev_mask = masks[1]  # forward difference for the first snapshot
+            # forward difference for the first snapshot
+            prev_mask = _refined_mask(trace[1].hierarchy)
         else:
             prev_mask = None
-        sig = _signals(snap.hierarchy, prev_mask, cur_mask=masks[idx])
+        sig = _signals(snap.hierarchy, _refined_mask(snap.hierarchy), prev_mask)
         axes = _axes_from_signals(sig, thresholds)
         out.append(
             OctantState(step=snap.step, octant=axes.octant(), axes=axes, signals=sig)

@@ -11,6 +11,9 @@ Two layers of guarantees:
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -29,6 +32,12 @@ from repro.partitioners import ISPPartitioner
 from repro.partitioners.units import rebuild_units, units_from_map
 
 DOMAIN = Box((0, 0, 0), (24, 12, 12))
+
+_spec = importlib.util.spec_from_file_location(
+    "ref_diff", Path(__file__).parent / "reference" / "ref_diff.py"
+)
+ref_diff = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ref_diff)
 
 
 def _hier(fine_boxes, ratio=2, load=1.0, base_load=1.0):
@@ -99,6 +108,25 @@ class TestDiff:
         assert d.compatible and not d.identical
         assert 1 in d.dirty_levels
 
+    def test_dirty_mask_matches_per_patch_footprints(self, small_rm3d_trace):
+        hs = [snap.hierarchy for snap in small_rm3d_trace]
+        a, b, c = ((3, 3, 3), (9, 7, 5)), ((20, 2, 2), (26, 6, 6)), ((8, 8, 8), (16, 12, 12))
+        edge, outside = ((44, 20, 20), (50, 26, 26)), ((60, 30, 30), (62, 32, 32))
+        pairs = list(zip(hs, hs[1:])) + [
+            (_hier([a, b, edge, outside]), _hier([a, edge, c])),  # partial
+            (_hier([a, b, c]), _hier([c, b, a])),                 # reordered
+            (_hier([]), _hier([a, edge, outside])),               # new level
+            (_hier([b, edge]), _hier([])),                        # gone level
+        ]
+        for old, new in pairs:
+            d = diff_hierarchies(old, new)
+            mask, unchanged, changed, levels = ref_diff.dirty_region(old, new)
+            assert d.dirty_mask.dtype == mask.dtype
+            assert d.dirty_mask.tobytes() == mask.tobytes()
+            assert (d.unchanged_patches, d.changed_patches, d.dirty_levels) == (
+                unchanged, changed, levels
+            )
+
     def test_signature_ignores_patch_id(self):
         p1 = Patch(box=Box((0, 0, 0), (4, 4, 4)), level=1, patch_id=3)
         p2 = Patch(box=Box((0, 0, 0), (4, 4, 4)), level=1, patch_id=9)
@@ -114,6 +142,13 @@ class TestIncrementalMapUpdate:
         )
         full = composite_load_map(new_h)
         np.testing.assert_array_equal(updated.values, full.values)
+
+    def test_patch_beyond_the_domain(self):
+        # its footprint clips to an empty slice past the upper corner
+        self._assert_incremental_equals_full(
+            _hier([((4, 4, 4), (12, 8, 8))]),
+            _hier([((4, 4, 4), (12, 8, 8)), ((60, 4, 4), (64, 8, 8))]),
+        )
 
     def test_moved_patch(self):
         self._assert_incremental_equals_full(

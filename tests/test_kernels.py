@@ -137,6 +137,33 @@ class TestSequenceDifferential:
             want = ref_sequence.optimal_sequence_partition(loads, p)
             np.testing.assert_array_equal(got, want)
 
+    def test_optimal_is_byte_equal_on_ties_and_zeros(self):
+        rng = np.random.default_rng(4321)
+        cases = []
+        for n, p in [(40, 8), (97, 16), (200, 64)]:
+            runs = rng.random(n)
+            runs[rng.random(n) < 0.5] = 0.0  # runs of equal prefix values
+            cases.append((runs, p))
+            cases.append((np.repeat(rng.random(n // 4), 4) * 0.1, p))
+            cases.append((np.where(rng.random(n) < 0.3, 1.0, 0.0), p))
+        cases.append((np.zeros(9) + np.eye(9)[4], 3))  # one load among zeros
+        cases.append((np.full(64, 0.1), 64))
+        for loads, p in cases:
+            got = optimal_sequence_partition(loads, p)
+            want = ref_sequence.optimal_sequence_partition(loads, p)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_optimal_is_byte_equal_on_gmisp_segments(self, small_rm3d_trace):
+        for snap in small_rm3d_trace:
+            units = build_units(snap.hierarchy, granularity=2)
+            for procs in (16, 64):
+                _, loads = PARTITIONER_REGISTRY["G-MISP+SP"]()._segment_loads(
+                    units, procs
+                )
+                got = optimal_sequence_partition(loads, procs)
+                want = ref_sequence.optimal_sequence_partition(loads, procs)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_weighted_matches_oracle(self):
         rng = np.random.default_rng(91011)
         for loads, p in _loads_corpus(rng):
@@ -181,6 +208,46 @@ class TestPBDDifferential:
         got = pbd_partition_cube(np.zeros((6, 4, 2)), 5)
         want = ref_pbd.pbd_partition_cube(np.zeros((6, 4, 2)), 5)
         np.testing.assert_array_equal(got, want)
+
+    @staticmethod
+    def _near_ties():
+        """Cubes whose cut errors tie or nearly tie: a marginal summed in
+        another order than the oracle's flips their cuts."""
+        rng = np.random.default_rng(1718)
+        cubes = [np.zeros((8, 4, 4)), np.ones((16, 8, 8)), np.full((12, 6, 6), 0.1)]
+        slabs = np.ones((24, 8, 8))
+        slabs[rng.permutation(24)[:8]] = 0.3  # equal slabs, reordered
+        cubes.append(slabs)
+        cubes.append(rng.integers(0, 4, (32, 8, 8)) * 0.1)  # decimal ties
+        for shape in [(1, 9, 9), (9, 1, 1), (1, 1, 9), (17, 1, 5), (2, 1, 2)]:
+            cubes.append(rng.random(shape))
+            cubes.append(np.full(shape, 0.7))
+        steps = np.ones((48, 12, 12)) * 1e-3  # six decades of load
+        steps[rng.random(steps.shape) < 0.2] = 1e3
+        cubes.append(steps)
+        return cubes
+
+    def test_near_tie_corpus_is_byte_equal(self):
+        for cube in self._near_ties():
+            for procs in (2, 5, 16, 64):
+                got = pbd_partition_cube(cube, procs)
+                want = ref_pbd.pbd_partition_cube(cube, procs)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (
+                    cube.shape, procs
+                )
+
+    def test_small_trace_cubes_are_byte_equal(self, small_rm3d_trace):
+        for snap in small_rm3d_trace:
+            units = build_units(snap.hierarchy, granularity=2)
+            lat = np.empty(len(units))
+            lat[units.lattice_index] = units.loads
+            cube = lat.reshape(units.grid_shape)
+            for procs in (16, 64):
+                got = pbd_partition_cube(cube, procs)
+                want = ref_pbd.pbd_partition_cube(cube, procs)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (
+                    snap.step, procs
+                )
 
 
 # -- composite load map -------------------------------------------------------

@@ -1,6 +1,11 @@
 """Tests for the octant classifier, fuzzy sets, rules and the policy base."""
 
+import importlib.util
+from pathlib import Path
+
+import numpy as np
 import pytest
+from scipy import ndimage
 
 from repro.amr.box import Box
 from repro.amr.grid import Level, Patch
@@ -21,7 +26,22 @@ from repro.policy import (
     triangular,
     trapezoidal,
 )
+from repro.core.meta_partitioner import MetaPartitioner
+from repro.policy import octant
 from repro.policy.fuzzy import crisp_above, crisp_below
+from repro.policy.octant import AppSignals
+
+
+def _load_reference(name):
+    path = Path(__file__).parent / "reference" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ref_metrics = _load_reference("ref_metrics")
+ref_signals = _load_reference("ref_signals")
 
 
 class TestOctantAxes:
@@ -96,6 +116,55 @@ class TestClassification:
         assert len(states) == len(small_rm3d_trace)
         # First snapshot's dynamics measured against the second.
         assert states[0].signals.activity >= 0.0
+
+    def test_classify_trace_matches_oracle(self, small_rm3d_trace):
+        masks = [ref_metrics.refined_mask(s.hierarchy) for s in small_rm3d_trace]
+        states = classify_trace(small_rm3d_trace)
+        for idx, (snap, state) in enumerate(zip(small_rm3d_trace, states)):
+            mask, prev = masks[idx], masks[idx - 1 if idx else 1]
+            union = np.logical_or(mask, prev).sum()
+            activity = float(np.logical_xor(mask, prev).sum() / union) if union else 0.0
+            want = AppSignals(
+                num_components=int(ndimage.label(mask)[1]) if mask.any() else 0,
+                spread=ref_signals.adaptation_scatter(snap.hierarchy),
+                activity=activity,
+                comm_ratio=ref_signals.comm_to_comp_ratio(snap.hierarchy),
+                refined_fraction=float(mask.mean()) if mask.any() else 0.0,
+            )
+            assert state.signals == want, snap.step
+
+    def test_decide_builds_each_mask_once(self, small_rm3d_trace, monkeypatch):
+        built = []
+        build = GridHierarchy.refined_mask
+
+        def counted(h):
+            built.append(h)
+            return build(h)
+
+        monkeypatch.setattr(GridHierarchy, "refined_mask", counted)
+        monkeypatch.delattr(octant._held, "mask", raising=False)
+        meta = MetaPartitioner()
+        previous = None
+        for snap in small_rm3d_trace:
+            meta.decide(snap, previous)
+            previous = snap
+        assert [id(h) for h in built] == [id(s.hierarchy) for s in small_rm3d_trace]
+        # one mask held on this thread, the last snapshot's, read-only
+        _, _, mask = octant._held.mask
+        assert mask.tobytes() == build(previous.hierarchy).tobytes()
+        assert not mask.flags.writeable
+
+    def test_added_patch_gets_a_fresh_mask(self):
+        h = self._hierarchy([((4, 4, 4), (10, 10, 10))])
+        _, sig = classify_hierarchy(h)
+        assert sig.num_components == 1
+        h.levels[1].add(
+            Patch(box=Box((20, 4, 4), (26, 10, 10)).refine(2), level=1, patch_id=9)
+        )
+        same = self._hierarchy([((4, 4, 4), (10, 10, 10)), ((20, 4, 4), (26, 10, 10))])
+        _, sig = classify_hierarchy(same, previous=h)
+        assert sig.num_components == 2
+        assert sig.activity == 0.0  # h's mask includes the added patch
 
     def test_classify_empty_trace(self):
         from repro.amr.trace import AdaptationTrace
